@@ -99,6 +99,7 @@ class TestbedConfig:
     def validate(self) -> None:
         self.geometry.validate()
         self.link.validate()
+        self.energy.validate()
         self.inventory.validate()
         self.transfer.validate()
         self.controller.validate()

@@ -232,12 +232,26 @@ Message = (
 
 # -- encoding --------------------------------------------------------------
 
+# Precompiled layouts.  ">" is big-endian with no padding, so a composite
+# layout packs exactly the bytes of its fields written one after another.
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_HEADER = struct.Struct(">BHII")
+_U16_PAIR = struct.Struct(">HH")
+_ROSPEC_TAIL = struct.Struct(">IBI")  # duration, trigger, interval
+_OP_HEAD = struct.Struct(">BHH")  # kind, address, word count or byte length
+_COMMIT_HEAD = struct.Struct(">BBH")  # kind, flags, segment count
+_SEGMENT = struct.Struct(">HHH")  # start, byte length, checksum
+_TAG_REPORT = struct.Struct(">12sBIiiQQ")
+_ACCESS_RESULT = struct.Struct(">B12sBIH")  # kind, epc, success, attempts, words
+
 
 def _pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise EncodeError("string too long for u16 length prefix")
-    return struct.pack(">H", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
 def _pack_epc(epc: bytes) -> bytes:
@@ -249,140 +263,172 @@ def _pack_epc(epc: bytes) -> bytes:
 def _pack_antennas(ids: tuple[int, ...]) -> bytes:
     if len(ids) > 0xFF:
         raise EncodeError("too many antenna ids")
-    return struct.pack(">B", len(ids)) + bytes(ids)
+    return _U8.pack(len(ids)) + bytes(ids)
 
 
-def _pack_op(op: AccessOp) -> bytes:
-    if isinstance(op, ReadOp):
-        return struct.pack(">BHH", OpKind.READ, op.start_address, op.word_count)
+def _pack_op(op: AccessOp, out: list[bytes]) -> None:
     if isinstance(op, BlockWriteOp):
-        return struct.pack(
-            ">BHH", OpKind.BLOCK_WRITE, op.start_address, len(op.words)
-        ) + struct.pack(f">{len(op.words)}H", *op.words)
-    if isinstance(op, GotoBiosOp):
-        return struct.pack(">B", OpKind.GOTO_BIOS)
-    if isinstance(op, ChecksumOp):
-        return struct.pack(">BHH", OpKind.CHECKSUM, op.start_address, op.byte_length)
-    if isinstance(op, CommitOp):
+        n = len(op.words)
+        out.append(
+            struct.pack(f">BHH{n}H", OpKind.BLOCK_WRITE, op.start_address, n, *op.words)
+        )
+    elif isinstance(op, ReadOp):
+        out.append(_OP_HEAD.pack(OpKind.READ, op.start_address, op.word_count))
+    elif isinstance(op, GotoBiosOp):
+        out.append(_U8.pack(OpKind.GOTO_BIOS))
+    elif isinstance(op, ChecksumOp):
+        out.append(_OP_HEAD.pack(OpKind.CHECKSUM, op.start_address, op.byte_length))
+    elif isinstance(op, CommitOp):
         flags = (1 if op.obeys_goto_bios else 0) | (
             2 if op.responds_to_inventory else 0
         )
-        out = struct.pack(">BBH", OpKind.COMMIT, flags, len(op.segments))
+        out.append(_COMMIT_HEAD.pack(OpKind.COMMIT, flags, len(op.segments)))
         for start, length, checksum in op.segments:
-            out += struct.pack(">HHH", start, length, checksum)
-        return out
-    raise EncodeError(f"unknown access op {op!r}")
+            out.append(_SEGMENT.pack(start, length, checksum))
+    else:
+        raise EncodeError(f"unknown access op {op!r}")
 
 
-def _payload_of(msg: Message) -> tuple[MsgType, bytes]:
+def _pack_payload(msg: Message, out: list[bytes]) -> MsgType:
+    """Append the payload of ``msg`` to ``out``; return its message type."""
     if isinstance(msg, GetCapabilities):
-        return MsgType.GET_CAPABILITIES, b""
+        return MsgType.GET_CAPABILITIES
     if isinstance(msg, CapabilitiesResponse):
-        return (
-            MsgType.CAPABILITIES_RESPONSE,
-            _pack_antennas(msg.antenna_ids) + _pack_str(msg.model),
-        )
+        out.append(_pack_antennas(msg.antenna_ids))
+        out.append(_pack_str(msg.model))
+        return MsgType.CAPABILITIES_RESPONSE
     if isinstance(msg, AddROSpec):
         trigger = {"end": 0, "periodic": 1}.get(msg.report_trigger)
         if trigger is None:
             raise EncodeError(f"unknown report trigger {msg.report_trigger!r}")
-        return (
-            MsgType.ADD_ROSPEC,
-            struct.pack(">I", msg.rospec_id)
-            + _pack_antennas(msg.antenna_ids)
-            + struct.pack(">IBI", msg.duration_ms, trigger, msg.report_interval_ms),
+        out.append(_U32.pack(msg.rospec_id))
+        out.append(_pack_antennas(msg.antenna_ids))
+        out.append(
+            _ROSPEC_TAIL.pack(msg.duration_ms, trigger, msg.report_interval_ms)
         )
+        return MsgType.ADD_ROSPEC
     if isinstance(msg, AddAccessSpec):
-        out = struct.pack(">I", msg.accessspec_id) + _pack_epc(msg.target_epc)
-        out += _pack_antennas(msg.antenna_ids)
-        out += struct.pack(">HH", msg.max_retries, len(msg.ops))
+        out.append(_U32.pack(msg.accessspec_id))
+        out.append(_pack_epc(msg.target_epc))
+        out.append(_pack_antennas(msg.antenna_ids))
+        if not 0 <= msg.max_retries <= 0xFFFF:
+            raise EncodeError("max_retries must fit in u16")
+        out.append(_U16_PAIR.pack(msg.max_retries, len(msg.ops)))
         for op in msg.ops:
-            out += _pack_op(op)
-        return MsgType.ADD_ACCESSSPEC, out
+            _pack_op(op, out)
+        return MsgType.ADD_ACCESSSPEC
     if isinstance(msg, StartROSpec):
-        return MsgType.START_ROSPEC, struct.pack(">I", msg.rospec_id)
+        out.append(_U32.pack(msg.rospec_id))
+        return MsgType.START_ROSPEC
     if isinstance(msg, StopROSpec):
-        return MsgType.STOP_ROSPEC, struct.pack(">I", msg.rospec_id)
+        out.append(_U32.pack(msg.rospec_id))
+        return MsgType.STOP_ROSPEC
     if isinstance(msg, ROAccessReport):
-        out = struct.pack(">H", len(msg.tag_reports))
+        out.append(_U16.pack(len(msg.tag_reports)))
         for entry in msg.tag_reports:
-            out += _pack_epc(entry.epc)
-            out += struct.pack(
-                ">BIiiQQ",
-                entry.antenna_id,
-                entry.read_count,
-                entry.mean_rssi_mdbm,
-                entry.last_rssi_mdbm,
-                entry.first_seen_ms,
-                entry.last_seen_ms,
+            out.append(
+                _TAG_REPORT.pack(
+                    _pack_epc(entry.epc),
+                    entry.antenna_id,
+                    entry.read_count,
+                    entry.mean_rssi_mdbm,
+                    entry.last_rssi_mdbm,
+                    entry.first_seen_ms,
+                    entry.last_seen_ms,
+                )
             )
-        out += struct.pack(">H", len(msg.access_results))
+        out.append(_U16.pack(len(msg.access_results)))
         for result in msg.access_results:
-            out += struct.pack(">B", result.op_kind)
-            out += _pack_epc(result.epc)
-            out += struct.pack(">BIH", 1 if result.success else 0, result.attempts,
-                               len(result.data))
-            out += struct.pack(f">{len(result.data)}H", *result.data)
-            out += _pack_str(result.detail)
-        return MsgType.RO_ACCESS_REPORT, out
+            out.append(
+                _ACCESS_RESULT.pack(
+                    result.op_kind,
+                    _pack_epc(result.epc),
+                    1 if result.success else 0,
+                    result.attempts,
+                    len(result.data),
+                )
+            )
+            out.append(struct.pack(f">{len(result.data)}H", *result.data))
+            out.append(_pack_str(result.detail))
+        return MsgType.RO_ACCESS_REPORT
     if isinstance(msg, Keepalive):
-        return MsgType.KEEPALIVE, b""
+        return MsgType.KEEPALIVE
     if isinstance(msg, KeepaliveAck):
-        return MsgType.KEEPALIVE_ACK, b""
+        return MsgType.KEEPALIVE_ACK
     if isinstance(msg, ErrorMessage):
-        return MsgType.ERROR, struct.pack(">H", msg.code) + _pack_str(msg.text)
+        out.append(_U16.pack(msg.code))
+        out.append(_pack_str(msg.text))
+        return MsgType.ERROR
     if isinstance(msg, SuccessMessage):
-        return MsgType.SUCCESS, b""
+        return MsgType.SUCCESS
     raise EncodeError(f"cannot encode {type(msg).__name__}")
 
 
 def encode(msg: Message) -> bytes:
     """Serialize a message to one frame.  Deterministic: same message, same bytes."""
-    msg_type, payload = _payload_of(msg)
-    if len(payload) > MAX_PAYLOAD:
+    parts = [b""]  # the header, once the payload length is known
+    msg_type = _pack_payload(msg, parts)
+    payload_len = sum(map(len, parts))
+    if payload_len > MAX_PAYLOAD:
         raise EncodeError("payload too large for the u32 frame length")
     if not 0 <= msg.msg_id <= 0xFFFFFFFF:
         raise EncodeError("msg_id must fit in u32")
-    header = struct.pack(
-        ">BHII", PROTOCOL_VERSION, msg_type, msg.msg_id, HEADER_LEN + len(payload)
+    parts[0] = _HEADER.pack(
+        PROTOCOL_VERSION, msg_type, msg.msg_id, HEADER_LEN + payload_len
     )
-    return header + payload
+    return b"".join(parts)
 
 
 # -- decoding --------------------------------------------------------------
 
 
-class _Cursor:
-    """Forward-only payload reader raising MALFORMED_PAYLOAD on shortfall."""
+def _truncated() -> DecodeError:
+    return DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, "payload truncated")
 
-    def __init__(self, data: bytes):
+
+class _Cursor:
+    """Forward-only reader over one frame's payload, which runs from
+    ``pos`` to the end of ``data``; a shortfall raises MALFORMED_PAYLOAD."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes, pos: int):
         self.data = data
-        self.pos = 0
+        self.pos = pos
+
+    def read(self, layout: struct.Struct) -> tuple:
+        pos = self.pos
+        try:
+            fields = layout.unpack_from(self.data, pos)
+        except struct.error:
+            raise _truncated() from None
+        self.pos = pos + layout.size
+        return fields
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, "payload truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
+        end = self.pos + n
+        if end > len(self.data):
+            raise _truncated()
+        out = self.data[self.pos : end]
+        self.pos = end
         return out
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.read(_U8)[0]
 
     def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
+        return self.read(_U16)[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def i32(self) -> int:
-        return struct.unpack(">i", self.take(4))[0]
+        return self.read(_U32)[0]
 
     def words(self, n: int) -> tuple[int, ...]:
-        return struct.unpack(f">{n}H", self.take(2 * n))
+        pos = self.pos
+        end = pos + 2 * n
+        if end > len(self.data):
+            raise _truncated()
+        self.pos = end
+        return struct.unpack_from(f">{n}H", self.data, pos)
 
     def text(self) -> str:
         raw = self.take(self.u16())
@@ -404,20 +450,18 @@ class _Cursor:
 
 def _parse_op(cur: _Cursor) -> AccessOp:
     kind = cur.u8()
-    if kind == OpKind.READ:
-        return ReadOp(cur.u16(), cur.u16())
     if kind == OpKind.BLOCK_WRITE:
-        start = cur.u16()
-        return BlockWriteOp(start, cur.words(cur.u16()))
+        start, count = cur.read(_U16_PAIR)
+        return BlockWriteOp(start, cur.words(count))
+    if kind == OpKind.READ:
+        return ReadOp(*cur.read(_U16_PAIR))
     if kind == OpKind.GOTO_BIOS:
         return GotoBiosOp()
     if kind == OpKind.CHECKSUM:
-        return ChecksumOp(cur.u16(), cur.u16())
+        return ChecksumOp(*cur.read(_U16_PAIR))
     if kind == OpKind.COMMIT:
         flags = cur.u8()
-        segments = tuple(
-            (cur.u16(), cur.u16(), cur.u16()) for _ in range(cur.u16())
-        )
+        segments = tuple(cur.read(_SEGMENT) for _ in range(cur.u16()))
         return CommitOp(segments, bool(flags & 1), bool(flags & 2))
     raise DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {kind}")
 
@@ -430,9 +474,7 @@ def _parse_payload(msg_type: int, msg_id: int, cur: _Cursor) -> Message:
     if msg_type == MsgType.ADD_ROSPEC:
         rospec_id = cur.u32()
         antenna_ids = cur.antennas()
-        duration = cur.u32()
-        trigger = cur.u8()
-        interval = cur.u32()
+        duration, trigger, interval = cur.read(_ROSPEC_TAIL)
         if trigger not in (0, 1):
             raise DecodeError(
                 DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown trigger {trigger}"
@@ -449,40 +491,27 @@ def _parse_payload(msg_type: int, msg_id: int, cur: _Cursor) -> Message:
         spec_id = cur.u32()
         epc = cur.take(EPC_LEN)
         antenna_ids = cur.antennas()
-        max_retries = cur.u16()
-        ops = tuple(_parse_op(cur) for _ in range(cur.u16()))
+        max_retries, op_count = cur.read(_U16_PAIR)
+        ops = tuple(_parse_op(cur) for _ in range(op_count))
         return AddAccessSpec(msg_id, spec_id, epc, antenna_ids, max_retries, ops)
     if msg_type == MsgType.START_ROSPEC:
         return StartROSpec(msg_id, cur.u32())
     if msg_type == MsgType.STOP_ROSPEC:
         return StopROSpec(msg_id, cur.u32())
     if msg_type == MsgType.RO_ACCESS_REPORT:
-        tag_reports = []
-        for _ in range(cur.u16()):
-            epc = cur.take(EPC_LEN)
-            tag_reports.append(
-                TagReportEntry(
-                    epc=epc,
-                    antenna_id=cur.u8(),
-                    read_count=cur.u32(),
-                    mean_rssi_mdbm=cur.i32(),
-                    last_rssi_mdbm=cur.i32(),
-                    first_seen_ms=cur.u64(),
-                    last_seen_ms=cur.u64(),
-                )
-            )
+        tag_reports = tuple(
+            TagReportEntry(*cur.read(_TAG_REPORT)) for _ in range(cur.u16())
+        )
         access_results = []
         for _ in range(cur.u16()):
-            op_kind = cur.u8()
-            epc = cur.take(EPC_LEN)
-            success = cur.u8() != 0
-            attempts = cur.u32()
-            data = cur.words(cur.u16())
-            detail = cur.text()
+            op_kind, epc, success, attempts, word_count = cur.read(_ACCESS_RESULT)
+            data = cur.words(word_count)
             access_results.append(
-                AccessResultEntry(op_kind, epc, success, attempts, data, detail)
+                AccessResultEntry(
+                    op_kind, epc, success != 0, attempts, data, cur.text()
+                )
             )
-        return ROAccessReport(msg_id, tuple(tag_reports), tuple(access_results))
+        return ROAccessReport(msg_id, tag_reports, tuple(access_results))
     if msg_type == MsgType.KEEPALIVE:
         return Keepalive(msg_id)
     if msg_type == MsgType.KEEPALIVE_ACK:
@@ -500,7 +529,7 @@ def _parse_header(data: bytes) -> tuple[int, int, int]:
         raise DecodeError(
             DecodeErrorKind.SHORT_HEADER, f"{len(data)} bytes, need {HEADER_LEN}"
         )
-    version, msg_type, msg_id, length = struct.unpack(">BHII", data[:HEADER_LEN])
+    version, msg_type, msg_id, length = _HEADER.unpack_from(data)
     if version != PROTOCOL_VERSION:
         raise DecodeError(DecodeErrorKind.BAD_VERSION, f"version {version}")
     if length < HEADER_LEN:
@@ -524,7 +553,7 @@ def decode(data: bytes) -> Message:
         )
     if msg_type not in MsgType._value2member_map_:
         raise DecodeError(DecodeErrorKind.UNKNOWN_TYPE, f"message type {msg_type}")
-    cur = _Cursor(data[HEADER_LEN:])
+    cur = _Cursor(data, HEADER_LEN)
     msg = _parse_payload(msg_type, msg_id, cur)
     cur.finish()
     return msg
@@ -547,7 +576,7 @@ class FrameStream:
         self._buf.extend(data)
         out: list[Message | DecodeError] = []
         while len(self._buf) >= HEADER_LEN:
-            _, _, length = _parse_header(bytes(self._buf[:HEADER_LEN]))
+            _, _, length = _parse_header(self._buf)
             if len(self._buf) < length:
                 break
             frame = bytes(self._buf[:length])

@@ -295,6 +295,15 @@ class Reader:
                 best = (antenna_id, quality.rssi_dbm)
         return all_ids if best is None else (best[0],)
 
+    def _success_probability(self, antenna_id: int, tag) -> float | None:
+        if tag is None:
+            return None
+        try:
+            p = self.world.link(antenna_id, tag.tag_id).delivery_probability
+        except GeometryError:
+            return None
+        return p * p
+
     def execute_access(
         self,
         ops,
@@ -320,6 +329,12 @@ class Reader:
         clock = world.clock
         slot_ms = self.slot_duration_ms
         results: list[AccessResult] = []
+        # Neither the target nor its links change during a call, so look
+        # them up once.  Command and reply must both survive the link:
+        # an attempt succeeds with probability p², None where there is
+        # no link at all.
+        tag = world.tag_by_epc(target_epc)
+        success_p = [self._success_probability(a, tag) for a in antennas]
 
         for op in ops:
             kind = OP_KIND_NAMES[op_kind_of(op)]
@@ -328,21 +343,15 @@ class Reader:
             detail = None
             data: tuple[int, ...] = ()
             for attempt in range(max_retries + 1):
-                antenna_id = antennas[attempt % len(antennas)]
-                world.harvest_all(antenna_id, slot_ms)
+                turn = attempt % len(antennas)
+                world.harvest_all(antennas[turn], slot_ms)
                 clock.advance(slot_ms)
                 attempts += 1
 
-                tag = world.tag_by_epc(target_epc)
-                if tag is None or not tag.responsive:
+                p2 = success_p[turn]
+                if p2 is None or not tag.responsive:
                     continue
-                try:
-                    quality = world.link(antenna_id, tag.tag_id)
-                except GeometryError:
-                    continue
-                p = quality.delivery_probability
-                # Command and reply must both survive the link.
-                if world.rng.random() >= p * p:
+                if world.rng.random() >= p2:
                     continue
                 ack = self._dispatch(op, tag)
                 if ack is None:
@@ -463,6 +472,16 @@ def entry_to_result(entry: AccessResultEntry) -> AccessResult:
 # -- server -----------------------------------------------------------------
 
 
+def _disable_nagle(sock: socket.socket) -> None:
+    """Send every frame as soon as it is written.
+
+    A START_ROSPEC reply is a report frame followed by a terminal frame.
+    With Nagle on, the second small write waits for the peer to ACK the
+    first, and a delayed ACK stalls every access for about 40 ms.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class ReaderServer:
     """Serves one Reader to one client at a time over TCP.
 
@@ -513,6 +532,7 @@ class ReaderServer:
             except OSError:
                 return
             conn.settimeout(None)
+            _disable_nagle(conn)
             if not self._busy.acquire(blocking=False):
                 try:
                     conn.sendall(
@@ -658,6 +678,7 @@ class ReaderClient:
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
+        _disable_nagle(self._sock)
         self._stream = FrameStream()
         self._pending: list[Message] = []
         self._next_id = 1

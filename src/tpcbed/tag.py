@@ -127,6 +127,14 @@ class EnergyParams:
     idle_draw_mw: float = 0.01
     operate_min_uj: float = 1.0
 
+    def validate(self) -> None:
+        # With these signs a full tag above the threshold and an empty one
+        # below it never change, which World.harvest_all relies on.
+        if self.harvest_efficiency < 0.0:
+            raise ValueError("harvest_efficiency must be >= 0")
+        if self.idle_draw_mw < 0.0:
+            raise ValueError("idle_draw_mw must be >= 0")
+
 
 @dataclass(frozen=True)
 class TagAck:

@@ -103,8 +103,9 @@ class TransferPolicy:
     def validate(self) -> None:
         if self.chunk_words < 1:
             raise ValueError("chunk_words must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        if not 0 <= self.max_retries <= 0xFFFF:
+            # the reader protocol carries it as a u16
+            raise ValueError("max_retries must be in 0..65535")
         if self.abort_timeout_ms <= 0.0:
             raise ValueError("abort_timeout_ms must be > 0")
         if self.antenna_tie_db < 0.0:

@@ -145,8 +145,21 @@ class World:
 
     def harvest_all(self, antenna_id: int, dt_ms: float) -> None:
         """One illumination interval: the active antenna charges every
-        tag it can see; tags it cannot see run down their stores."""
+        tag it can see; tags it cannot see run down their stores.
+
+        A tag at a fixed point is skipped: full and charging stays full,
+        empty and draining stays empty, and neither browns out.  Its
+        ``harvest_step`` would leave every field as it was.
+        """
+        if dt_ms < 0.0:
+            raise ValueError("dt_ms must be >= 0")
         for tag, incident_dbm in self._harvest_plan[antenna_id]:
+            params = tag.energy_params
+            if incident_dbm >= params.harvest_threshold_dbm:
+                if tag.energy_uj == params.capacity_uj:
+                    continue
+            elif tag.energy_uj == 0.0:
+                continue
             tag.harvest_step(incident_dbm, dt_ms)
 
     def reachable(self, antenna_id: int) -> list[ReachableTag]:

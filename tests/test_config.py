@@ -208,6 +208,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             broken.validate()
 
+    @pytest.mark.parametrize("field", ["harvest_efficiency", "idle_draw_mw"])
+    def test_negative_energy_rates_rejected(self, field):
+        import dataclasses
+
+        cfg = default_config()
+        energy = dataclasses.replace(cfg.energy, **{field: -0.01})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, energy=energy).validate()
+
     def test_profile_validation_happens_at_config_level(self):
         cfg = Config(
             geometry=default_geometry(),

@@ -417,3 +417,43 @@ class TestGetCapabilitiesMessage:
     def test_capabilities_message_encodes(self):
         # regression guard: the handshake message stays a fixed 11 bytes
         assert len(encode(GetCapabilities(1))) == 11
+
+
+class TestWireLatency:
+    """A START_ROSPEC reply is a report frame and then a terminal frame.
+    With Nagle's algorithm on, the second write waits for the client's
+    delayed ACK, about 40 ms per access on Linux loopback."""
+
+    def test_both_ends_disable_nagle(self):
+        server = ReaderServer(make_reader())
+        server_side = []
+        serve = server._serve
+
+        def spy(conn):
+            server_side.append(
+                conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            serve(conn)
+
+        server._serve = spy
+        with server:
+            with ReaderClient(server.host, server.port) as client:
+                client.keepalive()
+                assert client._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+        assert server_side and server_side[0]
+
+    def test_two_frame_replies_do_not_stall(self):
+        reader = make_reader(seed=2)
+        with ReaderServer(reader) as server:
+            with ReaderClient(server.host, server.port) as client:
+                started = time.perf_counter()
+                for _ in range(50):
+                    results = client.execute_access(
+                        [GotoBiosOp()], default_epc(1), antennas=(2,), max_retries=64
+                    )
+                    assert results[0].success
+                elapsed = time.perf_counter() - started
+        # about 0.03 s without the stall, about 2.2 s with it
+        assert elapsed < 1.0, f"50 access round trips took {elapsed:.2f} s"

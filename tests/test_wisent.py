@@ -7,12 +7,20 @@ acceptance suite.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tpcbed.llrp import BlockWriteOp, ChecksumOp, CommitOp, GotoBiosOp
+from tpcbed.llrp import (
+    AddAccessSpec,
+    BlockWriteOp,
+    ChecksumOp,
+    CommitOp,
+    EncodeError,
+    GotoBiosOp,
+    encode,
+)
 from tpcbed.gen2 import AccessResult
 from tpcbed.rfchannel import LinkBudgetParams, default_geometry
 from tpcbed.tag import MemoryMap, ones_complement_sum16
@@ -364,6 +372,18 @@ class TestReprogram:
             TransferPolicy(abort_timeout_ms=0).validate()
         with pytest.raises(ValueError):
             TransferPolicy(max_retries=-1).validate()
+
+    def test_policy_retries_bounded_to_the_wire_u16(self):
+        TransferPolicy(max_retries=0xFFFF).validate()
+        with pytest.raises(ValueError, match="max_retries"):
+            TransferPolicy(max_retries=0x10000).validate()
+
+    @pytest.mark.parametrize("max_retries", [-1, 0x10000])
+    def test_encode_rejects_retries_outside_u16(self, max_retries):
+        spec = AddAccessSpec(1, 1, bytes(12), (), max_retries, (GotoBiosOp(),))
+        with pytest.raises(EncodeError, match="max_retries"):
+            encode(spec)
+        encode(replace(spec, max_retries=0xFFFF))  # the largest legal value
 
 
 @given(st.binary(min_size=1, max_size=600))
