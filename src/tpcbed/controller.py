@@ -40,6 +40,10 @@ from .wisent import (
 )
 from .world import World
 
+# json.dumps(..., sort_keys=True) builds a fresh encoder per call; this one
+# is shared and gives the same bytes.
+_JSON = json.JSONEncoder(sort_keys=True)
+
 #: Which antennas each named bench arrangement energizes.
 ENVIRONMENTS = {
     "single-tag": (1,),
@@ -159,7 +163,7 @@ class ExperimentLog:
 
     def write(self, event: dict) -> None:
         try:
-            self._handle.write(json.dumps(event, sort_keys=True) + "\n")
+            self._handle.write(_JSON.encode(event) + "\n")
             self._handle.flush()
         except (OSError, TypeError, ValueError) as exc:
             raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
@@ -443,7 +447,7 @@ class ControlServer:
                         }
                     else:
                         reply = self._handle(request)
-                    stream.write(json.dumps(reply, sort_keys=True).encode() + b"\n")
+                    stream.write(_JSON.encode(reply).encode() + b"\n")
                     stream.flush()
         except (OSError, ValueError):
             pass
@@ -537,7 +541,14 @@ class ControlServer:
             }
         except InvalidToken as exc:
             return {"ok": False, "error": "invalid-token", "detail": str(exc)}
-        except (ValueError, KeyError) as exc:
+        except (
+            ValueError,
+            LookupError,  # KeyError, an unknown antenna or tag (GeometryError)
+            TypeError,  # null or wrongly shaped fields: seed, tags, antennas
+            AttributeError,  # a behavior that is not an object
+            OverflowError,  # an infinite seed
+        ) as exc:
+            # The caller keeps the connection and its lease either way.
             return {"ok": False, "error": "bad-request", "detail": str(exc)}
 
 

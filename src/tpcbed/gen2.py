@@ -81,9 +81,49 @@ class SlotOutcome:
 
 @dataclass(frozen=True)
 class RoundResult:
-    outcomes: tuple[SlotOutcome, ...]
+    """One inventory frame, recorded by its replies rather than slot by slot.
+
+    ``singulations`` holds ``(slot_index, tag)`` for every slot that
+    decoded exactly one reply, ``collisions`` holds ``(slot_index,
+    colliding tag ids)`` for every slot that decoded two or more, both in
+    slot order.  The other slots of the ``slots`` in the frame were empty.
+    Slot ``i`` starts at ``start_time_ms + i * slot_ms``.  ``outcomes``
+    rebuilds the per-slot view on demand.
+    """
+
+    slots: int
+    singulations: tuple[tuple[int, ReachableTag], ...]
+    collisions: tuple[tuple[int, tuple[int, ...]], ...]
     q_fp_after: float
-    duration_ms: float
+    start_time_ms: float
+    slot_ms: float
+
+    @property
+    def duration_ms(self) -> float:
+        return self.slots * self.slot_ms
+
+    @property
+    def outcomes(self) -> tuple[SlotOutcome, ...]:
+        """One SlotOutcome per slot, empty slots included."""
+        start, slot_ms = self.start_time_ms, self.slot_ms
+        by_slot = {
+            i: SlotOutcome(
+                SlotKind.SINGULATED,
+                i,
+                start + i * slot_ms,
+                tag_id=tag.tag_id,
+                rssi_dbm=tag.rssi_dbm,
+            )
+            for i, tag in self.singulations
+        }
+        for i, tag_ids in self.collisions:
+            by_slot[i] = SlotOutcome(
+                SlotKind.COLLISION, i, start + i * slot_ms, tag_ids=tag_ids
+            )
+        return tuple(
+            by_slot.get(i) or SlotOutcome(SlotKind.EMPTY, i, start + i * slot_ms)
+            for i in range(self.slots)
+        )
 
     @property
     def singulated(self) -> tuple[SlotOutcome, ...]:
@@ -112,13 +152,30 @@ def rounded_q(q_fp: float) -> int:
     return int(q_fp + 0.5)
 
 
+_Q_FLOOR = float(Q_MIN)
+_Q_CEILING = float(Q_MAX)
+
+
 def adjust_q(q_fp: float, outcome_kind: SlotKind, step: float = 0.5) -> float:
     """One Q-adaptation step: up on collision, down on empty, clamped."""
     if outcome_kind is SlotKind.COLLISION:
         q_fp += step
     elif outcome_kind is SlotKind.EMPTY:
         q_fp -= step
-    return min(max(q_fp, float(Q_MIN)), float(Q_MAX))
+    return min(max(q_fp, _Q_FLOOR), _Q_CEILING)
+
+
+def _after_empty_slots(q_fp: float, count: int, step: float) -> float:
+    """Q after ``count`` empty slots in a row.
+
+    Each empty slot lowers Q by one step; once a step no longer moves it
+    (the floor), the remaining empty slots cannot either.
+    """
+    for _ in range(count):
+        before, q_fp = q_fp, adjust_q(q_fp, SlotKind.EMPTY, step)
+        if q_fp == before:
+            break
+    return q_fp
 
 
 def run_inventory_round(
@@ -136,49 +193,50 @@ def run_inventory_round(
     returned q_fp feeds the next round.  Tags are processed in the list
     order given, so callers wanting reproducibility should pass a stable
     ordering.
+
+    Only occupied slots are visited: the work grows with the replies,
+    not with 2**Q.  The draws and the Q steps are the same, in the same
+    order, as visiting every slot.
     """
     if q_fp is None:
         q_fp = float(config.q_initial)
-    q = rounded_q(q_fp)
-    n_slots = 1 << q
+    n_slots = 1 << rounded_q(q_fp)
+    step = config.q_fp_step
 
     draws: dict[int, list[ReachableTag]] = {}
+    randrange = rng.randrange
     for tag in reachable_tags:
-        draws.setdefault(rng.randrange(n_slots), []).append(tag)
+        draws.setdefault(randrange(n_slots), []).append(tag)
 
-    outcomes = []
-    for slot_index in range(n_slots):
-        timestamp = start_time_ms + slot_index * config.slot_duration_ms
+    singulations = []
+    collisions = []
+    next_slot = 0
+    for slot_index in sorted(draws):
+        if slot_index > next_slot:
+            q_fp = _after_empty_slots(q_fp, slot_index - next_slot, step)
+        next_slot = slot_index + 1
         replying = [
-            tag
-            for tag in draws.get(slot_index, [])
-            if rng.random() < tag.delivery_probability
+            tag for tag in draws[slot_index] if rng.random() < tag.delivery_probability
         ]
+        # adjust_q's step, inline: this runs for every occupied slot
         if len(replying) == 1:
-            tag = replying[0]
-            outcome = SlotOutcome(
-                SlotKind.SINGULATED,
-                slot_index,
-                timestamp,
-                tag_id=tag.tag_id,
-                rssi_dbm=tag.rssi_dbm,
-            )
+            singulations.append((slot_index, replying[0]))
         elif replying:
-            outcome = SlotOutcome(
-                SlotKind.COLLISION,
-                slot_index,
-                timestamp,
-                tag_ids=tuple(t.tag_id for t in replying),
-            )
+            collisions.append((slot_index, tuple(t.tag_id for t in replying)))
+            q_fp += step
         else:
-            outcome = SlotOutcome(SlotKind.EMPTY, slot_index, timestamp)
-        outcomes.append(outcome)
-        q_fp = adjust_q(q_fp, outcome.kind, config.q_fp_step)
+            q_fp -= step
+        q_fp = min(max(q_fp, _Q_FLOOR), _Q_CEILING)
+    if n_slots > next_slot:
+        q_fp = _after_empty_slots(q_fp, n_slots - next_slot, step)
 
     return RoundResult(
-        outcomes=tuple(outcomes),
+        slots=n_slots,
+        singulations=tuple(singulations),
+        collisions=tuple(collisions),
         q_fp_after=q_fp,
-        duration_ms=n_slots * config.slot_duration_ms,
+        start_time_ms=start_time_ms,
+        slot_ms=config.slot_duration_ms,
     )
 
 

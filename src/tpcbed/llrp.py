@@ -23,11 +23,16 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 PROTOCOL_VERSION = 1
 HEADER_LEN = 11
 MAX_PAYLOAD = 2**32 - 12  # largest payload whose frame length fits in u32
+#: Longest frame a FrameStream buffers; a longer declared length ends the
+#: connection.  The largest frames tpcbed sends belong to a reprogram that
+#: writes the whole 64 KiB address span one word per op: 229,411 bytes of
+#: ADD_ACCESSSPEC, and 720,911 bytes of RO_ACCESS_REPORT in reply.
+MAX_FRAME_LEN = 1 << 20
 EPC_LEN = 12
 
 
@@ -379,6 +384,27 @@ def encode(msg: Message) -> bytes:
     return b"".join(parts)
 
 
+def encode_frames(msg: Message) -> list[bytes]:
+    """``msg`` as frames of at most MAX_FRAME_LEN bytes, where it can be split.
+
+    Only an access report is ever split: its results are spread over
+    several reports, in order, and a reply may carry any number of
+    reports before its terminal message.  Anything else is one frame.
+    """
+    frame = encode(msg)
+    if (
+        len(frame) <= MAX_FRAME_LEN
+        or not isinstance(msg, ROAccessReport)
+        or msg.tag_reports
+        or len(msg.access_results) < 2
+    ):
+        return [frame]
+    half = len(msg.access_results) // 2
+    first = replace(msg, access_results=msg.access_results[:half])
+    rest = replace(msg, access_results=msg.access_results[half:])
+    return encode_frames(first) + encode_frames(rest)
+
+
 # -- decoding --------------------------------------------------------------
 
 
@@ -566,7 +592,8 @@ class FrameStream:
     messages, or DecodeError instances for frames that were well-framed
     but undecodable (unknown type, bad payload) so a server can answer
     them and keep the connection.  Framing-level corruption (bad version,
-    impossible length) raises, because frame boundaries are lost then.
+    impossible length, a length over MAX_FRAME_LEN) raises, because frame
+    boundaries are lost then.
     """
 
     def __init__(self) -> None:
@@ -577,6 +604,11 @@ class FrameStream:
         out: list[Message | DecodeError] = []
         while len(self._buf) >= HEADER_LEN:
             _, _, length = _parse_header(self._buf)
+            if length > MAX_FRAME_LEN:
+                raise DecodeError(
+                    DecodeErrorKind.LENGTH_MISMATCH,
+                    f"declared length {length} > {MAX_FRAME_LEN}",
+                )
             if len(self._buf) < length:
                 break
             frame = bytes(self._buf[:length])

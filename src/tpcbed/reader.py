@@ -21,7 +21,7 @@ import socket
 import threading
 from dataclasses import dataclass
 
-from .gen2 import AccessResult, SlotKind, rounded_q, run_inventory_round
+from .gen2 import AccessResult, rounded_q, run_inventory_round
 from .llrp import (
     AccessOp,
     AccessResultEntry,
@@ -48,6 +48,7 @@ from .llrp import (
     SuccessMessage,
     TagReportEntry,
     encode,
+    encode_frames,
 )
 from .rfchannel import GeometryError
 from .tag import (
@@ -154,6 +155,7 @@ class Reader:
         world = self.world
         config = world.config.inventory
         clock = world.clock
+        slot_ms = config.slot_duration_ms
         started_ms = clock.now_ms
         last_report_ms = started_ms
 
@@ -184,40 +186,32 @@ class Reader:
             turn += 1
             # The antenna's carrier powers every tag it can see for the
             # whole round, so charge before asking anyone to reply.
-            round_ms = (2 ** rounded_q(q_fp[antenna_id])) * config.slot_duration_ms
+            round_ms = (2 ** rounded_q(q_fp[antenna_id])) * slot_ms
             world.harvest_all(antenna_id, round_ms)
             reachable = world.reachable(antenna_id)
+            start_ms = clock.now_ms
             result = run_inventory_round(
                 reachable,
                 config,
                 world.rng,
                 q_fp=q_fp[antenna_id],
-                start_time_ms=clock.now_ms,
+                start_time_ms=start_ms,
             )
             q_fp[antenna_id] = result.q_fp_after
 
-            collisions = 0
-            singulated = 0
-            for outcome in result.outcomes:
-                if outcome.kind is SlotKind.COLLISION:
-                    collisions += 1
-                if outcome.tag_id is None:
-                    continue
-                singulated += 1
-                tag = world.tag(outcome.tag_id)
-                key = (antenna_id, tag.epc)
+            for slot_index, seen in result.singulations:
+                seen_ms = start_ms + slot_index * slot_ms
+                key = (antenna_id, seen.epc)
                 entry = acc.get(key)
                 if entry is None:
-                    entry = _Accumulator(
-                        tag_id=outcome.tag_id,
-                        first_seen_ms=outcome.timestamp_ms,
+                    entry = acc[key] = _Accumulator(
+                        tag_id=seen.tag_id, first_seen_ms=seen_ms
                     )
-                    acc[key] = entry
                 entry.read_count += 1
-                entry.rssi_total += outcome.rssi_dbm
-                entry.last_rssi = outcome.rssi_dbm
-                entry.last_seen_ms = outcome.timestamp_ms
-                tag.inventoried = True
+                entry.rssi_total += seen.rssi_dbm
+                entry.last_rssi = seen.rssi_dbm
+                entry.last_seen_ms = seen_ms
+                world.tag(seen.tag_id).inventoried = True
 
             clock.advance(result.duration_ms)
             if sink is not None:
@@ -227,9 +221,9 @@ class Reader:
                         "event": "round",
                         "t": clock.iso(),
                         "antenna": antenna_id,
-                        "slots": len(result.outcomes),
-                        "singulated": singulated,
-                        "collisions": collisions,
+                        "slots": result.slots,
+                        "singulated": len(result.singulations),
+                        "collisions": len(result.collisions),
                     },
                 )
             if (
@@ -580,7 +574,8 @@ class ReaderServer:
                     else:
                         replies = self._handle(item)
                     for reply in replies:
-                        conn.sendall(encode(reply))
+                        for frame in encode_frames(reply):
+                            conn.sendall(frame)
         finally:
             conn.close()
             self._busy.release()
@@ -803,5 +798,3 @@ class RemoteReaderSession:
     ) -> list[AccessResult]:
         return self.client.execute_access(ops, target_epc, antennas, max_retries)
 
-
-LocalReaderSession = Reader

@@ -166,7 +166,6 @@ class CrfidTag:
         energy: EnergyParams | None = None,
         memory: MemoryMap | None = None,
         behavior: ApplicationBehavior | None = None,
-        model_label: str = "wisp5",
     ):
         if len(epc) != 12:
             raise ValueError("EPC must be exactly 12 bytes (96 bits)")
@@ -175,8 +174,6 @@ class CrfidTag:
         self.energy_params = energy or EnergyParams()
         self.memory = memory or MemoryMap()
         self.behavior = behavior or ApplicationBehavior()
-        # Hardware revision is a label only; every revision behaves the same.
-        self.model_label = model_label
         self.energy_uj = 0.0
         self.mode = TagMode.APPLICATION
         self.inventoried = False

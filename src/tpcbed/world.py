@@ -13,7 +13,7 @@ on any logged timestamp.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 from .config import TestbedConfig
@@ -39,6 +39,12 @@ class VirtualClock:
 
     epoch: datetime
     now_ms: float = 0.0
+    # iso() is called once per inventory round, many rounds a second:
+    # the strftime part is kept for the whole second it belongs to.
+    _second: datetime | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _second_text: str = field(default="", init=False, repr=False, compare=False)
 
     def advance(self, dt_ms: float) -> None:
         if dt_ms < 0:
@@ -50,12 +56,11 @@ class VirtualClock:
 
     def iso(self) -> str:
         moment = self.utc()
-        base = moment.strftime("%Y-%m-%dT%H:%M:%S")
-        millis = moment.microsecond // 1000
-        return f"{base}.{millis:03d}Z"
-
-    def unix_ms(self) -> float:
-        return self.epoch.timestamp() * 1000.0 + self.now_ms
+        second = moment.replace(microsecond=0)
+        if second != self._second:
+            self._second = second
+            self._second_text = second.strftime("%Y-%m-%dT%H:%M:%S")
+        return f"{self._second_text}.{moment.microsecond // 1000:03d}Z"
 
 
 class World:
@@ -87,6 +92,7 @@ class World:
                 behavior=behavior,
             )
         self._links: dict[tuple[int, int], LinkQuality] = {}
+        self._reachable_rows: dict[int, list[tuple[CrfidTag, ReachableTag]]] = {}
         self._harvest_plan = self._build_harvest_plan()
 
     # Incident power never changes during a run (placements are static),
@@ -168,23 +174,32 @@ class World:
         A tag is excluded when its link sits at the noise floor, when
         it is out of energy, or when its application ignores inventory.
         """
+        rows = self._reachable_rows.get(antenna_id)
+        if rows is None:
+            rows = self._reachable_rows[antenna_id] = self._link_rows(antenna_id)
+        return [row for tag, row in rows if tag.responsive]
+
+    # Links and EPCs are fixed for a run; only responsiveness changes from
+    # round to round, so each antenna's candidate rows are built once.
+    def _link_rows(self, antenna_id: int) -> list[tuple[CrfidTag, ReachableTag]]:
         rows = []
         for tag_id in sorted(self.tags):
-            tag = self.tags[tag_id]
-            if not tag.responsive:
-                continue
             try:
                 quality = self.link(antenna_id, tag_id)
             except GeometryError:
                 continue
             if quality.delivery_probability <= 0.0:
                 continue
+            tag = self.tags[tag_id]
             rows.append(
-                ReachableTag(
-                    tag_id=tag_id,
-                    epc=tag.epc,
-                    rssi_dbm=quality.rssi_dbm,
-                    delivery_probability=quality.delivery_probability,
+                (
+                    tag,
+                    ReachableTag(
+                        tag_id=tag_id,
+                        epc=tag.epc,
+                        rssi_dbm=quality.rssi_dbm,
+                        delivery_probability=quality.delivery_probability,
+                    ),
                 )
             )
         return rows

@@ -146,3 +146,50 @@ def singulation_distribution(
 def total_variation(a: dict[int, float], b: dict[int, float]) -> float:
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+
+
+def inventory_round_oracle(reachable_tags, config, rng, q_fp, start_time_ms=0.0):
+    """One inventory frame walked slot by slot, every slot materialized.
+
+    This is the package's original round loop, kept as the reference the
+    reply-driven round must match exactly: same outcomes, same Q, same
+    RNG draws.  Returns (outcomes, q_fp_after, duration_ms).
+    """
+    from tpcbed.gen2 import SlotKind, SlotOutcome
+
+    n_slots = 1 << int(q_fp + 0.5)
+    draws = {}
+    for tag in reachable_tags:
+        draws.setdefault(rng.randrange(n_slots), []).append(tag)
+    outcomes = []
+    for slot_index in range(n_slots):
+        timestamp = start_time_ms + slot_index * config.slot_duration_ms
+        replying = [
+            tag
+            for tag in draws.get(slot_index, [])
+            if rng.random() < tag.delivery_probability
+        ]
+        if len(replying) == 1:
+            outcome = SlotOutcome(
+                SlotKind.SINGULATED,
+                slot_index,
+                timestamp,
+                tag_id=replying[0].tag_id,
+                rssi_dbm=replying[0].rssi_dbm,
+            )
+        elif replying:
+            outcome = SlotOutcome(
+                SlotKind.COLLISION,
+                slot_index,
+                timestamp,
+                tag_ids=tuple(t.tag_id for t in replying),
+            )
+        else:
+            outcome = SlotOutcome(SlotKind.EMPTY, slot_index, timestamp)
+        outcomes.append(outcome)
+        if outcome.kind is SlotKind.COLLISION:
+            q_fp += config.q_fp_step
+        elif outcome.kind is SlotKind.EMPTY:
+            q_fp -= config.q_fp_step
+        q_fp = min(max(q_fp, 0.0), 15.0)
+    return tuple(outcomes), q_fp, n_slots * config.slot_duration_ms

@@ -365,6 +365,39 @@ class TestControlProtocol:
             reply = client.inventory(token, "mars-orbit", 1.0)
             assert reply["error"] == "bad-request"
 
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"cmd": "inventory", "antennas": [9], "duration_s": 1.0},
+            {"cmd": "inventory", "antennas": [2], "duration_s": 1.0, "seed": None},
+            {"cmd": "inventory", "antennas": [2], "duration_s": 1.0, "seed": 1e400},
+            {"cmd": "reprogram", "tags": 5, "firmware_text": SMALL_FIRMWARE},
+            {
+                "cmd": "reprogram",
+                "tags": [1],
+                "firmware_text": SMALL_FIRMWARE,
+                "behavior": ["obeys_goto_bios"],
+            },
+        ],
+        ids=[
+            "unknown-antenna",
+            "null-seed",
+            "infinite-seed",
+            "int-tags",
+            "list-behavior",
+        ],
+    )
+    def test_rejected_request_keeps_connection_and_lease(
+        self, server, request_fields
+    ):
+        # Each of these used to kill the connection without a reply and
+        # strand the caller's lease until it timed out.
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            reply = client.call({**request_fields, "token": token})
+            assert reply["ok"] is False and reply["error"] == "bad-request"
+            assert client.release(token) == {"ok": True}
+
     def test_malformed_json_line(self, server):
         import socket as socketlib
 

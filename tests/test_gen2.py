@@ -8,7 +8,7 @@ acceptance suite.
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tpcbed.gen2 import (
     InventoryConfig,
@@ -21,7 +21,7 @@ from tpcbed.gen2 import (
     run_inventory_round,
 )
 
-from oracles import singulation_distribution, total_variation
+from oracles import inventory_round_oracle, singulation_distribution, total_variation
 
 
 def make_tags(probabilities):
@@ -205,3 +205,59 @@ class TestReachableTag:
             ReachableTag(0, b"\x00" * 12, -40.0, 1.5)
         with pytest.raises(ValueError):
             ReachableTag(0, b"\x00" * 12, -40.0, -0.1)
+
+
+class TestRoundMatchesPerSlotReference:
+    """The round visits only occupied slots; the per-slot loop it replaced
+    is the reference for every output and for the RNG state after it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tags=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=255),
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                st.floats(min_value=-90.0, max_value=0.0),
+            ),
+            max_size=12,
+            unique_by=lambda row: row[0],
+        ),
+        q_fp=st.one_of(
+            st.integers(min_value=0, max_value=10).map(float),
+            st.floats(min_value=0.0, max_value=10.0),
+        ),
+        step=st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=3.0)
+        ),
+        slot_ms=st.floats(min_value=0.01, max_value=500.0),
+        start_ms=st.floats(min_value=0.0, max_value=1e9),
+        seed=st.integers(min_value=0, max_value=2**64),
+    )
+    def test_same_outcomes_q_and_rng_state(
+        self, tags, q_fp, step, slot_ms, start_ms, seed
+    ):
+        reachable = [
+            ReachableTag(tag_id, bytes(11) + bytes([tag_id]), rssi, p)
+            for tag_id, p, rssi in tags
+        ]
+        config = InventoryConfig(q_fp_step=step, slot_duration_ms=slot_ms)
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+
+        result = run_inventory_round(
+            reachable, config, rng, q_fp=q_fp, start_time_ms=start_ms
+        )
+        outcomes, q_fp_after, duration_ms = inventory_round_oracle(
+            reachable, config, reference_rng, q_fp, start_ms
+        )
+
+        assert result.outcomes == outcomes
+        assert result.q_fp_after == q_fp_after
+        assert result.duration_ms == duration_ms
+        assert rng.getstate() == reference_rng.getstate()
+        assert result.slots == len(outcomes)
+        assert [i for i, _ in result.singulations] == [
+            o.slot_index for o in outcomes if o.kind is SlotKind.SINGULATED
+        ]
+        assert [i for i, _ in result.collisions] == [
+            o.slot_index for o in outcomes if o.kind is SlotKind.COLLISION
+        ]

@@ -1,13 +1,15 @@
-"""Cross-version golden pin: the CSV and event-log bytes of two reference
-runs, fixed as sha256 digests.
+"""Cross-version golden pin: the CSV, report and event-log bytes of a few
+reference runs, fixed as sha256 digests.
 
-Criterion 9 only shows that one code version repeats itself.  These
-digests were taken from the code before any hot-path work, so a change
-that speeds a layer up by moving one RNG draw or one float fails here.
+Criterion 9 only shows that one code version repeats itself.  Each digest
+was taken from the code before the hot-path work on the layers it covers,
+so a change that speeds a layer up by moving one RNG draw or one float
+fails here.
 If a change is meant to alter model output, recompute the digests and
 say so in the change notes.
 """
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -18,7 +20,9 @@ from tpcbed.controller import (
     format_inventory_csv,
     format_reprogram_csv,
 )
+from tpcbed.reader import Reader, ReaderClient, ReaderServer, observation_to_entry
 from tpcbed.wisent import load_firmware
+from tpcbed.world import World
 
 DEMO_IMAGE = Path(__file__).resolve().parent.parent / "firmware" / "demo_app.txt"
 
@@ -34,6 +38,26 @@ INVENTORY_CSV_SHA256 = (
 INVENTORY_LOG_SHA256 = (
     "bec70f74dfca084fbde5c8f722710398cc3613a3f22cf642f0e66fce27c8bc35"
 )
+PERIODIC_BATCHES_SHA256 = (
+    "4d2e390340b778c2ee1da573bfd0a6058c00a09bcc31cc46fc9ced79266780bc"
+)
+PERIODIC_LOG_SHA256 = (
+    "5276d741f825e18b5dc79573fbfe36db70f1782afb3aab70a180f547688e5e1b"
+)
+REMOTE_BATCHES_SHA256 = (
+    "6856becb870c2e2e4b442497996f2051a3a57e4cc13953f30fcd95e1353ef64f"
+)
+
+# Two antennas take turns round by round, and a report interval that does
+# not divide the run flushes mid-run: paths the controller's one-antenna
+# surveys never take.
+PERIODIC_ROSPEC = dict(
+    antenna_ids=(2, 3),
+    duration_ms=60_000,
+    report_trigger="periodic",
+    report_interval_ms=7_500,
+)
+PERIODIC_SEED = 11
 
 
 def _sha256(data: bytes) -> str:
@@ -60,3 +84,46 @@ def test_inventory_antennas_1_2_3_seed_42(tmp_path):
         rows = controller.run_inventory_experiment((1, 2, 3), 120.0, seed=42, log=log)
     assert _sha256(format_inventory_csv(rows).encode()) == INVENTORY_CSV_SHA256
     assert _sha256(log_path.read_bytes()) == INVENTORY_LOG_SHA256
+
+
+def _render(batches) -> bytes:
+    """Every field of every report row, floats in full precision."""
+    return repr(
+        [[dataclasses.astuple(row) for row in batch] for batch in batches]
+    ).encode()
+
+
+def test_periodic_inventory_antennas_2_3_seed_11(tmp_path):
+    reader = Reader(World(default_config(), seed=PERIODIC_SEED))
+    log_path = tmp_path / "periodic.jsonl"
+    spec = PERIODIC_ROSPEC
+    with ExperimentLog(log_path) as log:
+        batches = reader.run_inventory(
+            spec["antenna_ids"],
+            float(spec["duration_ms"]),
+            spec["report_trigger"],
+            float(spec["report_interval_ms"]),
+            event_sink=log.write,
+        )
+    assert len(batches) == 8
+    assert _sha256(_render(batches)) == PERIODIC_BATCHES_SHA256
+    assert _sha256(log_path.read_bytes()) == PERIODIC_LOG_SHA256
+
+
+def test_periodic_inventory_through_reader_server(tmp_path):
+    local = Reader(World(default_config(), seed=PERIODIC_SEED))
+    expected = local.run_inventory(
+        PERIODIC_ROSPEC["antenna_ids"],
+        float(PERIODIC_ROSPEC["duration_ms"]),
+        PERIODIC_ROSPEC["report_trigger"],
+        float(PERIODIC_ROSPEC["report_interval_ms"]),
+    )
+    log_path = tmp_path / "server.jsonl"
+    with ExperimentLog(log_path) as log:
+        served = Reader(World(default_config(), seed=PERIODIC_SEED), log.write)
+        with ReaderServer(served) as server:
+            with ReaderClient(server.host, server.port) as client:
+                batches = client.run_inventory(**PERIODIC_ROSPEC)
+    assert batches == [[observation_to_entry(o) for o in b] for b in expected]
+    assert _sha256(_render(batches)) == REMOTE_BATCHES_SHA256
+    assert _sha256(log_path.read_bytes()) == PERIODIC_LOG_SHA256

@@ -22,6 +22,7 @@ from tpcbed.llrp import (
     GetCapabilities,
     GotoBiosOp,
     HEADER_LEN,
+    MAX_FRAME_LEN,
     Keepalive,
     KeepaliveAck,
     MsgType,
@@ -34,6 +35,7 @@ from tpcbed.llrp import (
     TagReportEntry,
     decode,
     encode,
+    encode_frames,
 )
 
 EPC = bytes.fromhex("e20000000000000000000001")
@@ -321,3 +323,60 @@ class TestFrameStream:
         stream = FrameStream()
         with pytest.raises(DecodeError):
             stream.feed(bytes(frame))
+
+    @staticmethod
+    def _header(length):
+        return struct.pack(">BHII", PROTOCOL_VERSION, MsgType.KEEPALIVE, 1, length)
+
+    def test_frame_at_the_cap_is_buffered(self):
+        stream = FrameStream()
+        assert stream.feed(self._header(MAX_FRAME_LEN)) == []
+        assert stream.pending_bytes == HEADER_LEN
+
+    @pytest.mark.parametrize("length", [MAX_FRAME_LEN + 1, 2**32 - 1])
+    def test_frame_over_the_cap_is_fatal_at_its_header(self, length):
+        with pytest.raises(DecodeError) as err:
+            FrameStream().feed(self._header(length))
+        assert err.value.kind is DecodeErrorKind.LENGTH_MISMATCH
+
+    def test_largest_reprogram_frames_fit_under_the_cap(self):
+        # Writing the whole 64 KiB span one word per op, and its report.
+        words = 0x10000 // 2
+        spec = AddAccessSpec(
+            1,
+            2,
+            EPC,
+            (1, 2, 3),
+            0xFFFF,
+            tuple(BlockWriteOp(2 * i, (0xFFFF,)) for i in range(words)),
+        )
+        report = ROAccessReport(
+            3,
+            access_results=tuple(
+                AccessResultEntry(1, EPC, True, 0xFFFFFFFF, (), "")
+                for _ in range(words)
+            ),
+        )
+        frames = encode(spec) + encode(report)
+        assert max(len(encode(spec)), len(encode(report))) < MAX_FRAME_LEN
+        assert FrameStream().feed(frames) == [spec, report]
+
+
+class TestEncodeFrames:
+    def test_everything_within_the_cap_is_one_frame(self):
+        entries = (AccessResultEntry(0, EPC, True, 3, (1, 2), "é"),) * 3
+        for msg in (ROAccessReport(5, access_results=entries), Keepalive(1)):
+            assert encode_frames(msg) == [encode(msg)]
+
+    def test_access_results_over_the_cap_are_spread_over_reports(self):
+        # Twenty reads of 56 KiB each come to about 1.1 MiB of results.
+        entries = tuple(
+            AccessResultEntry(0, EPC, True, i, tuple(range(0x7000 + i)), "é" * i)
+            for i in range(20)
+        )
+        frames = encode_frames(ROAccessReport(5, access_results=entries))
+        assert len(frames) > 1
+        assert all(len(frame) <= MAX_FRAME_LEN for frame in frames)
+        reports = FrameStream().feed(b"".join(frames))
+        assert all(r.msg_id == 5 and not r.tag_reports for r in reports)
+        assert sum((r.access_results for r in reports), ()) == entries

@@ -10,6 +10,7 @@ from tpcbed.llrp import (
     AddROSpec,
     BlockWriteOp,
     ChecksumOp,
+    ErrorCode,
     ErrorMessage,
     GetCapabilities,
     GotoBiosOp,
@@ -19,6 +20,7 @@ from tpcbed.llrp import (
     StartROSpec,
     StopROSpec,
     SuccessMessage,
+    decode,
     encode,
 )
 from tpcbed.reader import (
@@ -336,6 +338,22 @@ class TestServerClient:
         assert results[0].kind == "goto-bios"
         assert reader.world.tag(1).mode is TagMode.BIOS
 
+    def test_access_reply_over_the_frame_cap_arrives_whole(self):
+        # Twenty 56 KiB reads make a reply longer than one frame may be.
+        ops = [ReadOp(0x0000, 0x7000)] * 20
+
+        def charged_reader():
+            reader = make_reader(seed=4)
+            reader.world.harvest_all(1, 10_000.0)
+            return reader
+
+        local = charged_reader().execute_access(ops, default_epc(6), (1,), 100)
+        with ReaderServer(charged_reader()) as server:
+            with ReaderClient(server.host, server.port) as client:
+                remote = client.execute_access(ops, default_epc(6), (1,), 100)
+        assert all(r.success for r in local)
+        assert remote == local
+
     def test_unknown_rospec_is_an_error(self):
         with ReaderServer(make_reader()) as server:
             with ReaderClient(server.host, server.port) as client:
@@ -397,6 +415,24 @@ class TestServerClient:
                     chunks.append(piece)
                 reply = b"".join(chunks)
                 assert reply[1:3] == (10).to_bytes(2, "big")
+            finally:
+                raw.close()
+
+    def test_oversized_frame_is_refused_at_its_header(self):
+        # A 4 GiB declared length must not be buffered while the peer
+        # trickles bytes: the header alone gets MALFORMED and a close.
+        with ReaderServer(make_reader()) as server:
+            raw = socket.create_connection((server.host, server.port), timeout=5.0)
+            try:
+                header = bytes([1]) + (8).to_bytes(2, "big") + bytes(4)
+                raw.sendall(header + (2**32 - 1).to_bytes(4, "big"))
+                chunks = []
+                while piece := raw.recv(65536):
+                    chunks.append(piece)
+                reply = decode(b"".join(chunks))
+                assert reply == ErrorMessage(
+                    0, int(ErrorCode.MALFORMED), "length-mismatch"
+                )
             finally:
                 raw.close()
 

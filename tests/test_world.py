@@ -1,13 +1,19 @@
-"""World-level state updates: harvesting across the whole bench."""
+"""World-level state: harvesting across the bench, who can answer an
+antenna, and the virtual clock's timestamps."""
 
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tpcbed.config import default_config
-from tpcbed.tag import EnergyParams, TagMode
-from tpcbed.world import World
+from tpcbed.config import DEFAULT_EPOCH, ControllerSettings, default_config
+from tpcbed.gen2 import ReachableTag
+from tpcbed.rfchannel import GeometryError, link_quality
+from tpcbed.tag import ApplicationBehavior, EnergyParams, TagMode
+from tpcbed.world import VirtualClock, World
+
+TAG_IDS = tuple(sorted(t.tag_id for t in default_config().geometry.tags))
 
 
 def tag_state(world):
@@ -64,3 +70,137 @@ def test_negative_interval_rejected_even_at_fixed_points():
     world.harvest_all(1, 0.0)  # every tag is empty; nothing moves
     with pytest.raises(ValueError, match="dt_ms"):
         world.harvest_all(1, -1.0)
+
+
+def fresh_reachable(world, antenna_id):
+    """Reference: every link computed anew, every row built anew."""
+    rows = []
+    for tag_id in sorted(world.tags):
+        tag = world.tags[tag_id]
+        if not tag.responsive:
+            continue
+        try:
+            quality = link_quality(
+                world.config.geometry, world.config.link, antenna_id, tag_id
+            )
+        except GeometryError:
+            continue
+        if quality.delivery_probability <= 0.0:
+            continue
+        rows.append(
+            ReachableTag(
+                tag_id, tag.epc, quality.rssi_dbm, quality.delivery_probability
+            )
+        )
+    return rows
+
+
+def commit_app(tag, responds_to_inventory):
+    tag.mode = TagMode.BIOS
+    ack = tag.commit_firmware(
+        [], ApplicationBehavior(responds_to_inventory=responds_to_inventory)
+    )
+    assert ack.ok
+
+
+def assert_reachable_fresh(world):
+    for antenna_id in (1, 2, 3, 9):  # 9 is not on the bench
+        assert world.reachable(antenna_id) == fresh_reachable(world, antenna_id)
+
+
+def test_reachable_follows_brownout_and_commit():
+    world = World(default_config())
+    assert_reachable_fresh(world)  # every tag empty: nobody answers
+    world.harvest_all(1, 1_000.0)
+    assert [row.tag_id for row in world.reachable(1)] == [6]
+    # antenna 2 does not reach tag 6, which drains through zero
+    world.harvest_all(2, 20_000.0)
+    assert world.tags[6].brownout_count == 1
+    assert world.reachable(1) == []
+    assert_reachable_fresh(world)
+    world.harvest_all(1, 1_000.0)
+    commit_app(world.tags[6], responds_to_inventory=False)
+    assert world.reachable(1) == []
+    assert_reachable_fresh(world)
+    commit_app(world.tags[6], responds_to_inventory=True)
+    assert [row.tag_id for row in world.reachable(1)] == [6]
+
+
+@settings(deadline=None)
+@given(
+    idle_draw_mw=st.floats(min_value=0.0, max_value=1.0),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("harvest"),
+                st.sampled_from((1, 2, 3)),
+                st.floats(min_value=0.0, max_value=20_000.0),
+            ),
+            st.tuples(st.just("bios"), st.sampled_from(TAG_IDS)),
+            st.tuples(st.just("commit"), st.sampled_from(TAG_IDS), st.booleans()),
+        ),
+        max_size=40,
+    ),
+)
+def test_cached_reachable_matches_fresh_computation(idle_draw_mw, steps):
+    config = replace(
+        default_config(), energy=EnergyParams(idle_draw_mw=idle_draw_mw)
+    )
+    world = World(config)
+    for step in steps:
+        if step[0] == "harvest":
+            world.harvest_all(step[1], step[2])
+        elif step[0] == "bios":
+            world.tags[step[1]].mode = TagMode.BIOS
+        else:
+            commit_app(world.tags[step[1]], responds_to_inventory=step[2])
+        assert_reachable_fresh(world)
+
+
+def iso_reference(epoch, now_ms):
+    moment = epoch + timedelta(milliseconds=now_ms)
+    millis = moment.microsecond // 1000
+    return f"{moment.strftime('%Y-%m-%dT%H:%M:%S')}.{millis:03d}Z"
+
+
+# Offsets that land on, just before and just after a millisecond or a
+# second boundary, where rounding to microseconds decides the digits.
+near_boundaries = st.builds(
+    lambda whole, nudge: whole + nudge,
+    st.integers(min_value=0, max_value=10**10),
+    st.sampled_from([0.0, 1e-9, -1e-9, 0.0004999, 0.0005, 0.0005001, 0.9995, 0.9999]),
+).filter(lambda ms: ms >= 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epoch=st.one_of(
+        st.sampled_from(
+            [
+                ControllerSettings(epoch_utc=text).epoch_datetime()
+                for text in (
+                    DEFAULT_EPOCH,
+                    "0999-12-31T23:59:59.999Z",  # %Y renders this year "999"
+                    "0001-01-01T00:00:00Z",
+                )
+            ]
+        ),
+        st.datetimes(
+            min_value=datetime(1, 1, 1),
+            max_value=datetime(9000, 1, 1),
+            timezones=st.just(timezone.utc),
+        ),
+    ),
+    offsets=st.lists(
+        st.one_of(near_boundaries, st.floats(min_value=0.0, max_value=1e10)),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_iso_matches_strftime_rendering(epoch, offsets):
+    # One clock through all offsets, forwards and backwards, so a cached
+    # second that no longer applies would show.
+    clock = VirtualClock(epoch=epoch)
+    for now_ms in offsets:
+        clock.now_ms = now_ms
+        assert clock.iso() == iso_reference(epoch, now_ms)
