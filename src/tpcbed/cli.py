@@ -22,6 +22,7 @@ from .controller import (
     InventoryRow,
     TestbedController,
     antennas_for_environment,
+    check_duration_s,
     format_inventory_csv,
     format_reprogram_csv,
     write_inventory_csv,
@@ -42,6 +43,15 @@ def _parse_antenna_arg(text: str) -> tuple[int, ...]:
             f"expected antenna ids like '2' or '2+3', or an environment "
             f"name from {sorted(ENVIRONMENTS)}; got {text!r}"
         ) from None
+
+
+def _parse_duration_arg(text: str) -> float:
+    try:
+        duration_s = float(text)
+        check_duration_s(duration_s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return duration_s
 
 
 def _parse_tags_arg(text: str) -> tuple[int, ...]:
@@ -91,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="IDS|ENV",
         help="antenna ids like 2 or 2+3, or an environment name",
     )
-    inv.add_argument("--duration", type=float, default=30.0, metavar="SECONDS")
+    inv.add_argument(
+        "--duration", type=_parse_duration_arg, default=30.0, metavar="SECONDS"
+    )
     inv.add_argument("--seed", type=int, default=0)
     inv.add_argument("--out", type=Path, required=True, help="CSV output path")
     inv.add_argument("--log", type=Path, default=None, help="JSON-lines event log")
@@ -276,7 +288,13 @@ def _cmd_status(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "log", None) is not None and args.connect is not None:
+        parser.error(
+            "--log cannot be combined with --connect: the control protocol "
+            "does not carry events, so the log would stay empty"
+        )
     handlers = {
         "inventory": _cmd_inventory,
         "reprogram": _cmd_reprogram,

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import secrets
 import socket
 import threading
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import TestbedConfig
-from .reader import Reader, TagObservation
+from .reader import SORTED_JSON, Reader, TagObservation
 from .wisent import (
     FirmwareImage,
     TransferPolicy,
@@ -40,9 +41,10 @@ from .wisent import (
 )
 from .world import World
 
-# json.dumps(..., sort_keys=True) builds a fresh encoder per call; this one
-# is shared and gives the same bytes.
-_JSON = json.JSONEncoder(sort_keys=True)
+#: Longest inventory survey, in virtual seconds per antenna: a day.  A
+#: survey costs wall time in proportion, and a control request holds the
+#: server thread and the lease until it ends.
+MAX_DURATION_S = 86_400.0
 
 #: Which antennas each named bench arrangement energizes.
 ENVIRONMENTS = {
@@ -150,8 +152,9 @@ class ExperimentLog:
     """Append-only JSON-lines event log.
 
     Every event is one line, keys sorted, so identical event sequences
-    serialize to identical bytes.  A write failure raises immediately:
-    an experiment whose record cannot be kept must abort, not limp on.
+    serialize to identical bytes.  Each line is flushed as it is written.
+    A write failure raises immediately: an experiment whose record cannot
+    be kept must abort, not limp on.
     """
 
     def __init__(self, path: str | Path):
@@ -161,9 +164,11 @@ class ExperimentLog:
         except OSError as exc:
             raise LogWriteError(f"cannot open log {self.path}: {exc}") from exc
 
-    def write(self, event: dict) -> None:
+    def write(self, event: str | dict) -> None:
+        """Append one event: a line a Reader rendered, or a dict to encode."""
         try:
-            self._handle.write(_JSON.encode(event) + "\n")
+            line = event if isinstance(event, str) else SORTED_JSON.encode(event)
+            self._handle.write(line + "\n")
             self._handle.flush()
         except (OSError, TypeError, ValueError) as exc:
             raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
@@ -208,7 +213,9 @@ class TestbedController:
 
         Antennas run one after another on the same world, so the later
         antenna's rounds start where the earlier one's clock stopped.
+        ``duration_s`` must be finite and within [0, MAX_DURATION_S].
         """
+        check_duration_s(duration_s)
         sink = log.write if log is not None else None
         world = World(self.config, seed)
         reader = Reader(world, event_sink=sink)
@@ -298,6 +305,15 @@ class TestbedController:
         if sink is not None:
             sink({"event": "experiment-end", "rows": len(results)})
         return results
+
+
+def check_duration_s(duration_s: float) -> None:
+    """Refuse a survey length that is not a number of seconds up to a day."""
+    if not math.isfinite(duration_s) or not 0.0 <= duration_s <= MAX_DURATION_S:
+        raise ValueError(
+            f"duration_s must be between 0 and {MAX_DURATION_S:g} s, "
+            f"got {duration_s!r}"
+        )
 
 
 def _to_row(obs: TagObservation) -> InventoryRow:
@@ -447,7 +463,7 @@ class ControlServer:
                         }
                     else:
                         reply = self._handle(request)
-                    stream.write(_JSON.encode(reply).encode() + b"\n")
+                    stream.write(SORTED_JSON.encode(reply).encode() + b"\n")
                     stream.flush()
         except (OSError, ValueError):
             pass
@@ -483,7 +499,7 @@ class ControlServer:
                 rows = self.controller.run_inventory_experiment(
                     antennas,
                     float(request.get("duration_s", 30.0)),
-                    int(request.get("seed", 0)),
+                    _parse_seed(request),
                 )
                 return {
                     "ok": True,
@@ -514,7 +530,7 @@ class ControlServer:
                     )
                 tag_ids = tuple(int(t) for t in request.get("tags", ()))
                 stats = self.controller.run_reprogram_experiment(
-                    tag_ids, image, int(request.get("seed", 0))
+                    tag_ids, image, _parse_seed(request)
                 )
                 return {
                     "ok": True,
@@ -546,10 +562,18 @@ class ControlServer:
             LookupError,  # KeyError, an unknown antenna or tag (GeometryError)
             TypeError,  # null or wrongly shaped fields: seed, tags, antennas
             AttributeError,  # a behavior that is not an object
-            OverflowError,  # an infinite seed
+            OverflowError,  # an integer duration_s too large for a float
         ) as exc:
             # The caller keeps the connection and its lease either way.
             return {"ok": False, "error": "bad-request", "detail": str(exc)}
+
+
+def _parse_seed(request: dict) -> int:
+    # int() would quietly turn 1.9 and true into seed 1
+    seed = request.get("seed", 0)
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    return seed
 
 
 def _parse_antennas(value) -> tuple[int, ...]:

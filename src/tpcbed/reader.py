@@ -17,6 +17,7 @@ callers cannot tell local from remote.
 
 from __future__ import annotations
 
+import json
 import socket
 import threading
 from dataclasses import dataclass
@@ -61,6 +62,10 @@ from .tag import (
 from .world import World
 
 READER_MODEL = "tpcbed-sim"
+
+#: One encoder for every event-log line and control reply;
+#: json.dumps(..., sort_keys=True) builds a fresh one per call.
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 OP_KIND_NAMES = {
     OpKind.READ: "read",
@@ -110,8 +115,50 @@ class _Accumulator:
     last_seen_ms: float = 0.0
 
 
+# The two events a Reader emits in its hot loops are rendered here, keys
+# in sorted order, byte for byte what SORTED_JSON.encode gives for the
+# same dict.  Only free text (a nack's detail) goes through the encoder,
+# so its escaping stays the standard library's.  ``t`` is VirtualClock.iso()
+# text, ``op`` one of OP_KIND_NAMES and ``target`` hex: none needs escaping.
+
+
+def round_line(
+    t: str, antenna: str, slots: int, singulated: int, collisions: int
+) -> str:
+    """A ``round`` event as one JSON line; ``antenna`` is already JSON."""
+    return (
+        f'{{"antenna": {antenna}, "collisions": {collisions}, '
+        f'"event": "round", "singulated": {singulated}, "slots": {slots}, '
+        f'"t": "{t}"}}'
+    )
+
+
+def access_line(
+    t: str,
+    op: str,
+    target: str,
+    antennas: str,
+    attempts: int,
+    success: bool,
+    detail: str | None,
+) -> str:
+    """An ``access`` event as one JSON line; ``antennas`` is already JSON."""
+    detail_json = "null" if detail is None else SORTED_JSON.encode(detail)
+    return (
+        f'{{"antennas": {antennas}, "attempts": {attempts}, '
+        f'"detail": {detail_json}, "event": "access", "op": "{op}", '
+        f'"success": {"true" if success else "false"}, "t": "{t}", '
+        f'"target": "{target}"}}'
+    )
+
+
 class Reader:
-    """Drives inventory rounds and access deliveries against one World."""
+    """Drives inventory rounds and access deliveries against one World.
+
+    ``event_sink`` receives each ``round`` and ``access`` event as one
+    rendered JSON line (a str without the newline), the form
+    ``ExperimentLog.write`` takes.
+    """
 
     def __init__(self, world: World, event_sink=None):
         self.world = world
@@ -122,10 +169,6 @@ class Reader:
     @property
     def slot_duration_ms(self) -> float:
         return self.world.config.inventory.slot_duration_ms
-
-    def _emit(self, sink, event: dict) -> None:
-        if sink is not None:
-            sink(event)
 
     # -- inventory --------------------------------------------------------
 
@@ -180,9 +223,11 @@ class Reader:
             batches.append(rows)
             acc.clear()
 
+        antenna_texts = [SORTED_JSON.encode(a) for a in antenna_ids]
         turn = 0
         while clock.now_ms - started_ms < duration_ms:
-            antenna_id = antenna_ids[turn % len(antenna_ids)]
+            antenna_turn = turn % len(antenna_ids)
+            antenna_id = antenna_ids[antenna_turn]
             turn += 1
             # The antenna's carrier powers every tag it can see for the
             # whole round, so charge before asking anyone to reply.
@@ -211,20 +256,17 @@ class Reader:
                 entry.rssi_total += seen.rssi_dbm
                 entry.last_rssi = seen.rssi_dbm
                 entry.last_seen_ms = seen_ms
-                world.tag(seen.tag_id).inventoried = True
 
             clock.advance(result.duration_ms)
             if sink is not None:
-                self._emit(
-                    sink,
-                    {
-                        "event": "round",
-                        "t": clock.iso(),
-                        "antenna": antenna_id,
-                        "slots": result.slots,
-                        "singulated": len(result.singulations),
-                        "collisions": len(result.collisions),
-                    },
+                sink(
+                    round_line(
+                        clock.iso(),
+                        antenna_texts[antenna_turn],
+                        result.slots,
+                        len(result.singulations),
+                        len(result.collisions),
+                    )
                 )
             if (
                 report_trigger == "periodic"
@@ -321,7 +363,10 @@ class Reader:
 
         world = self.world
         clock = world.clock
+        harvest_all = world.harvest_all
+        random = world.rng.random
         slot_ms = self.slot_duration_ms
+        sink = self._sink
         results: list[AccessResult] = []
         # Neither the target nor its links change during a call, so look
         # them up once.  Command and reply must both survive the link:
@@ -329,6 +374,17 @@ class Reader:
         # no link at all.
         tag = world.tag_by_epc(target_epc)
         success_p = [self._success_probability(a, tag) for a in antennas]
+        if sink is not None:
+            target_hex = target_epc.hex()
+            antennas_json = SORTED_JSON.encode(list(antennas))
+        # Within a call only harvesting changes a tag's energy (and, by a
+        # brownout, its mode), and only a delivered command changes its mode
+        # or behaviour.  So a harvest that stepped no tag leaves the bench
+        # as it was: its antenna stays quiet, and is not harvested again,
+        # until some other harvest steps a tag; and ``responsive`` is only
+        # read again after a harvest that stepped a tag or a dispatch.
+        quiet: set[int] = set()
+        responsive = tag is not None and tag.responsive
 
         for op in ops:
             kind = OP_KIND_NAMES[op_kind_of(op)]
@@ -338,16 +394,22 @@ class Reader:
             data: tuple[int, ...] = ()
             for attempt in range(max_retries + 1):
                 turn = attempt % len(antennas)
-                world.harvest_all(antennas[turn], slot_ms)
+                if turn not in quiet:
+                    if harvest_all(antennas[turn], slot_ms):
+                        quiet.clear()
+                        responsive = tag is not None and tag.responsive
+                    else:
+                        quiet.add(turn)
                 clock.advance(slot_ms)
                 attempts += 1
 
                 p2 = success_p[turn]
-                if p2 is None or not tag.responsive:
+                if p2 is None or not responsive:
                     continue
-                if world.rng.random() >= p2:
+                if random() >= p2:
                     continue
                 ack = self._dispatch(op, tag)
+                responsive = tag.responsive
                 if ack is None:
                     continue
                 success = ack.ok
@@ -364,19 +426,17 @@ class Reader:
                 data=data,
             )
             results.append(result)
-            if self._sink is not None:
-                self._emit(
-                    self._sink,
-                    {
-                        "event": "access",
-                        "t": clock.iso(),
-                        "op": kind,
-                        "target": target_epc.hex(),
-                        "antennas": list(antennas),
-                        "attempts": attempts,
-                        "success": success,
-                        "detail": detail,
-                    },
+            if sink is not None:
+                sink(
+                    access_line(
+                        clock.iso(),
+                        kind,
+                        target_hex,
+                        antennas_json,
+                        attempts,
+                        success,
+                        detail,
+                    )
                 )
             if not success:
                 break

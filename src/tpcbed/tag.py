@@ -176,7 +176,6 @@ class CrfidTag:
         self.behavior = behavior or ApplicationBehavior()
         self.energy_uj = 0.0
         self.mode = TagMode.APPLICATION
-        self.inventoried = False
         self.brownout_count = 0
 
     # -- power ---------------------------------------------------------
@@ -221,7 +220,6 @@ class CrfidTag:
     def _brownout(self) -> None:
         # Flash survives; the mode bit and protocol flags are volatile.
         self.mode = TagMode.APPLICATION
-        self.inventoried = False
         self.brownout_count += 1
 
     # -- bootloader protocol -------------------------------------------
@@ -299,7 +297,6 @@ class CrfidTag:
                 return NACK_CHECKSUM
         self.behavior = behavior
         self.mode = TagMode.APPLICATION
-        self.inventoried = False
         return ACK
 
 

@@ -28,6 +28,12 @@ from .rfchannel import (
 )
 from .tag import ApplicationBehavior, CrfidTag, default_epc
 
+_US_PER_DAY = 86_400_000_000
+# Zero-padded digits by lookup: a format spec costs more than the rest of
+# iso() put together.
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
+_THREE_DIGITS = tuple(f"{i:03d}" for i in range(1000))
+
 
 @dataclass
 class VirtualClock:
@@ -39,12 +45,19 @@ class VirtualClock:
 
     epoch: datetime
     now_ms: float = 0.0
-    # iso() is called once per inventory round, many rounds a second:
-    # the strftime part is kept for the whole second it belongs to.
-    _second: datetime | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _second_text: str = field(default="", init=False, repr=False, compare=False)
+    # iso() runs once per logged event and a new second starts every few
+    # events, so only the date text is cached; the time of day is integer
+    # arithmetic on microseconds since the epoch's midnight.  The epoch is
+    # fixed for the clock's life.
+    _epoch_us: int = field(init=False, repr=False, compare=False)
+    _day: int | None = field(default=None, init=False, repr=False, compare=False)
+    _day_text: str = field(default="", init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        epoch = self.epoch
+        self._epoch_us = (
+            epoch.hour * 3600 + epoch.minute * 60 + epoch.second
+        ) * 1_000_000 + epoch.microsecond
 
     def advance(self, dt_ms: float) -> None:
         if dt_ms < 0:
@@ -55,12 +68,26 @@ class VirtualClock:
         return self.epoch + timedelta(milliseconds=self.now_ms)
 
     def iso(self) -> str:
-        moment = self.utc()
-        second = moment.replace(microsecond=0)
-        if second != self._second:
-            self._second = second
-            self._second_text = second.strftime("%Y-%m-%dT%H:%M:%S")
-        return f"{self._second_text}.{moment.microsecond // 1000:03d}Z"
+        # timedelta rounds the float milliseconds to whole microseconds
+        # exactly as epoch + timedelta does in utc().
+        offset = timedelta(milliseconds=self.now_ms)
+        day, us = divmod(
+            offset.seconds * 1_000_000 + offset.microseconds + self._epoch_us,
+            _US_PER_DAY,
+        )
+        day += offset.days
+        if day != self._day:
+            midnight = self.epoch.replace(hour=0, minute=0, second=0, microsecond=0)
+            # strftime, not isoformat: %Y leaves years below 1000 unpadded
+            self._day_text = (midnight + timedelta(days=day)).strftime("%Y-%m-%dT")
+            self._day = day
+        seconds, millis = divmod(us // 1000, 1000)
+        minutes, seconds = divmod(seconds, 60)
+        hours, minutes = divmod(minutes, 60)
+        return (
+            f"{self._day_text}{_TWO_DIGITS[hours]}:{_TWO_DIGITS[minutes]}:"
+            f"{_TWO_DIGITS[seconds]}.{_THREE_DIGITS[millis]}Z"
+        )
 
 
 class World:
@@ -149,16 +176,20 @@ class World:
             self._links[key] = cached
         return cached
 
-    def harvest_all(self, antenna_id: int, dt_ms: float) -> None:
+    def harvest_all(self, antenna_id: int, dt_ms: float) -> bool:
         """One illumination interval: the active antenna charges every
         tag it can see; tags it cannot see run down their stores.
 
         A tag at a fixed point is skipped: full and charging stays full,
         empty and draining stays empty, and neither browns out.  Its
-        ``harvest_step`` would leave every field as it was.
+        ``harvest_step`` would leave every field as it was.  Returns
+        whether any tag was stepped.  When none was, nothing changed, and
+        the same call steps none until some tag's energy changes another
+        way.
         """
         if dt_ms < 0.0:
             raise ValueError("dt_ms must be >= 0")
+        stepped = False
         for tag, incident_dbm in self._harvest_plan[antenna_id]:
             params = tag.energy_params
             if incident_dbm >= params.harvest_threshold_dbm:
@@ -167,6 +198,8 @@ class World:
             elif tag.energy_uj == 0.0:
                 continue
             tag.harvest_step(incident_dbm, dt_ms)
+            stepped = True
+        return stepped
 
     def reachable(self, antenna_id: int) -> list[ReachableTag]:
         """Tags that could answer this antenna right now, id order.

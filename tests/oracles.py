@@ -193,3 +193,63 @@ def inventory_round_oracle(reachable_tags, config, rng, q_fp, start_time_ms=0.0)
             q_fp -= config.q_fp_step
         q_fp = min(max(q_fp, 0.0), 15.0)
     return tuple(outcomes), q_fp, n_slots * config.slot_duration_ms
+
+
+def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
+    """One access call walked attempt by attempt, nothing carried over.
+
+    This is the reader's original retry loop, kept as the reference the
+    reader must match exactly: every attempt harvests on its antenna and
+    looks the tag, its link and its responsiveness up afresh; same
+    results, clock, RNG draws and tag state.  Returns (results, events),
+    each event as the dict the log line encodes.
+    """
+    from tpcbed.gen2 import AccessResult
+    from tpcbed.reader import OP_KIND_NAMES, op_kind_of
+    from tpcbed.rfchannel import GeometryError
+
+    world = reader.world
+    slot_ms = world.config.inventory.slot_duration_ms
+    results, events = [], []
+    for op in ops:
+        kind = OP_KIND_NAMES[op_kind_of(op)]
+        attempts, success, detail, data = 0, False, None, ()
+        for attempt in range(max_retries + 1):
+            antenna_id = antennas[attempt % len(antennas)]
+            world.harvest_all(antenna_id, slot_ms)
+            world.clock.advance(slot_ms)
+            attempts += 1
+            tag = world.tag_by_epc(target_epc)
+            if tag is None:
+                continue
+            try:
+                p = world.link(antenna_id, tag.tag_id).delivery_probability
+            except GeometryError:
+                continue
+            if not tag.responsive:
+                continue
+            if world.rng.random() >= p * p:
+                continue
+            ack = reader._dispatch(op, tag)
+            if ack is None:
+                continue
+            success, detail, data = ack.ok, ack.reason, tuple(ack.data)
+            break
+        results.append(
+            AccessResult(kind, target_epc, success, attempts, detail, data)
+        )
+        events.append(
+            {
+                "event": "access",
+                "t": world.clock.iso(),
+                "op": kind,
+                "target": target_epc.hex(),
+                "antennas": list(antennas),
+                "attempts": attempts,
+                "success": success,
+                "detail": detail,
+            }
+        )
+        if not success:
+            break
+    return results, events

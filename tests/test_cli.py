@@ -27,6 +27,35 @@ def test_parser_rejects_bad_antenna_arg(capsys):
     assert "environment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["inventory", "reprogram"])
+def test_log_is_refused_for_remote_runs(tmp_path, capsys, command):
+    args = (
+        ["inventory", "--antenna", "2"]
+        if command == "inventory"
+        else ["reprogram", "--tags", "1", "--firmware", str(tmp_path / "app.txt")]
+    )
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            args
+            + ["--connect", "127.0.0.1:9", "--log", str(tmp_path / "run.jsonl"),
+               "--out", str(tmp_path / "out.csv")]
+        )
+    assert exit_info.value.code == 2
+    assert "control protocol does not carry events" in capsys.readouterr().err
+    assert not (tmp_path / "run.jsonl").exists()
+
+
+@pytest.mark.parametrize("duration", ["1e12", "inf", "nan", "-1"])
+def test_duration_out_of_range_is_a_usage_error(tmp_path, capsys, duration):
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["inventory", "--antenna", "2", "--duration", duration,
+             "--out", str(tmp_path / "out.csv")]
+        )
+    assert exit_info.value.code == 2
+    assert "duration_s must be between 0 and 86400 s" in capsys.readouterr().err
+
+
 def test_inventory_command(tmp_path, capsys):
     out = tmp_path / "inv.csv"
     log = tmp_path / "inv.jsonl"

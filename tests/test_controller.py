@@ -1,6 +1,7 @@
 """Lease management, experiment orchestration, result files, control protocol."""
 
 import json
+import math
 import threading
 
 import pytest
@@ -13,6 +14,7 @@ from tpcbed.controller import (
     InvalidToken,
     InventoryRow,
     LogWriteError,
+    MAX_DURATION_S,
     SessionManager,
     TestbedBusy as BusyError,
     TestbedController as Controller,
@@ -135,6 +137,13 @@ class TestExperimentLog:
         assert lines[0] == '{"alpha": 2, "zebra": 1}'
         assert json.loads(lines[1]) == {"event": "x"}
 
+    def test_rendered_lines_are_written_as_given(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            log.write('{"event": "round", "slots": 16}')
+            log.write({"event": "x"})
+        assert path.read_text() == '{"event": "round", "slots": 16}\n{"event": "x"}\n'
+
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(LogWriteError):
             ExperimentLog(tmp_path)  # a directory, not a file
@@ -188,6 +197,21 @@ class TestInventoryExperiment:
         assert log_a == log_b
         assert b'"event": "experiment"' in log_a
         assert b'"event": "experiment-end"' in log_a
+
+    @pytest.mark.parametrize(
+        "duration_s", [math.inf, -math.inf, math.nan, -1.0, MAX_DURATION_S + 0.5, 1e12]
+    )
+    def test_duration_out_of_range_rejected(self, duration_s, tmp_path):
+        controller = Controller(default_config())
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            with pytest.raises(ValueError, match="duration_s"):
+                controller.run_inventory_experiment((2,), duration_s, log=log)
+        assert path.read_bytes() == b""  # refused before anything ran
+
+    def test_zero_duration_runs_no_rounds(self):
+        rows = Controller(default_config()).run_inventory_experiment((2,), 0.0)
+        assert rows == []
 
     def test_different_seed_changes_counts(self):
         controller = Controller(default_config())
@@ -371,6 +395,20 @@ class TestControlProtocol:
             {"cmd": "inventory", "antennas": [9], "duration_s": 1.0},
             {"cmd": "inventory", "antennas": [2], "duration_s": 1.0, "seed": None},
             {"cmd": "inventory", "antennas": [2], "duration_s": 1.0, "seed": 1e400},
+            {"cmd": "inventory", "antennas": [2], "duration_s": 1.0, "seed": 1.9},
+            {"cmd": "inventory", "antennas": [2], "duration_s": 1.0, "seed": True},
+            {"cmd": "inventory", "antennas": [2], "duration_s": 1.0, "seed": "7"},
+            {
+                "cmd": "reprogram",
+                "tags": [1],
+                "firmware_text": SMALL_FIRMWARE,
+                "seed": 2.0,
+            },
+            {"cmd": "inventory", "antennas": [2], "duration_s": 1e12},
+            {"cmd": "inventory", "antennas": [2], "duration_s": math.inf},
+            {"cmd": "inventory", "antennas": [2], "duration_s": math.nan},
+            {"cmd": "inventory", "antennas": [2], "duration_s": -1.0},
+            {"cmd": "inventory", "antennas": [2], "duration_s": 10**400},
             {"cmd": "reprogram", "tags": 5, "firmware_text": SMALL_FIRMWARE},
             {
                 "cmd": "reprogram",
@@ -383,6 +421,15 @@ class TestControlProtocol:
             "unknown-antenna",
             "null-seed",
             "infinite-seed",
+            "fractional-seed",
+            "boolean-seed",
+            "string-seed",
+            "reprogram-float-seed",
+            "huge-duration",
+            "infinite-duration",
+            "nan-duration",
+            "negative-duration",
+            "overflowing-duration",
             "int-tags",
             "list-behavior",
         ],
@@ -391,7 +438,9 @@ class TestControlProtocol:
         self, server, request_fields
     ):
         # Each of these used to kill the connection without a reply and
-        # strand the caller's lease until it timed out.
+        # strand the caller's lease until it timed out, run a seed other
+        # than the one asked for, or hold the server thread and the lease
+        # for hours or for good.
         with ControlClient(server.host, server.port) as client:
             token = client.acquire("alice")["token"]
             reply = client.call({**request_fields, "token": token})

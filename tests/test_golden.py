@@ -13,14 +13,16 @@ import dataclasses
 import hashlib
 from pathlib import Path
 
-from tpcbed.config import default_config
+from tpcbed.config import TagProfile, default_config
 from tpcbed.controller import (
     ExperimentLog,
     TestbedController as Controller,
     format_inventory_csv,
     format_reprogram_csv,
 )
+from tpcbed.llrp import BlockWriteOp, ChecksumOp, CommitOp, GotoBiosOp, ReadOp
 from tpcbed.reader import Reader, ReaderClient, ReaderServer, observation_to_entry
+from tpcbed.tag import default_epc
 from tpcbed.wisent import load_firmware
 from tpcbed.world import World
 
@@ -46,6 +48,9 @@ PERIODIC_LOG_SHA256 = (
 )
 REMOTE_BATCHES_SHA256 = (
     "6856becb870c2e2e4b442497996f2051a3a57e4cc13953f30fcd95e1353ef64f"
+)
+REFUSALS_LOG_SHA256 = (
+    "68763722da2d0a3f54b3669d6fc5af72bb85ebd2060f886f6f5f2a273d9e38bb"
 )
 
 # Two antennas take turns round by round, and a report interval that does
@@ -127,3 +132,39 @@ def test_periodic_inventory_through_reader_server(tmp_path):
     assert batches == [[observation_to_entry(o) for o in b] for b in expected]
     assert _sha256(_render(batches)) == REMOTE_BATCHES_SHA256
     assert _sha256(log_path.read_bytes()) == PERIODIC_LOG_SHA256
+
+
+# Access calls the tag refuses or never answers, so the log holds every
+# nack reason and "success": false; the transfers above log only
+# "detail": null.  Tag 4 runs an application that ignores goto-bios.
+REFUSALS_SEED = 13
+REFUSALS = [
+    ([BlockWriteOp(0x4400, (0x1234,))], default_epc(2), None, 16),  # wrong-mode
+    ([GotoBiosOp(), BlockWriteOp(0xFC00, (0xFFFF,))], default_epc(2), None, 16),
+    ([CommitOp(((0x4400, 2, 0xBEEF),))], default_epc(2), (2, 3), 16),
+    ([ReadOp(0xFFFE, 4)], default_epc(1), (2, 3), 16),  # past the span
+    ([ChecksumOp(0x4400, 16)], default_epc(3), (3,), 16),  # not in bios
+    ([GotoBiosOp()], default_epc(4), (2, 3), 40),  # silence to the end
+    ([GotoBiosOp()], bytes(12), (2,), 5),  # no such tag
+]
+
+
+def test_refused_and_unanswered_access_seed_13(tmp_path):
+    config = default_config()
+    config.tag_profiles[4] = TagProfile(obeys_goto_bios=False)
+    log_path = tmp_path / "refusals.jsonl"
+    with ExperimentLog(log_path) as log:
+        reader = Reader(World(config, seed=REFUSALS_SEED), event_sink=log.write)
+        details = [
+            [r.detail for r in reader.execute_access(*call)] for call in REFUSALS
+        ]
+    assert details == [
+        ["wrong-mode"],
+        [None, "region-violation"],
+        ["checksum-mismatch"],
+        ["region-violation"],
+        ["wrong-mode"],
+        [None],
+        [None],
+    ]
+    assert _sha256(log_path.read_bytes()) == REFUSALS_LOG_SHA256

@@ -1,15 +1,21 @@
 """Reader behavior: inventory scheduling, access retries, and the TCP path."""
 
+import json
 import socket
 import time
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import execute_access_oracle
 from tpcbed.config import TagProfile, default_config
 from tpcbed.llrp import (
     AddROSpec,
     BlockWriteOp,
     ChecksumOp,
+    CommitOp,
     ErrorCode,
     ErrorMessage,
     GetCapabilities,
@@ -24,16 +30,25 @@ from tpcbed.llrp import (
     encode,
 )
 from tpcbed.reader import (
+    OP_KIND_NAMES,
     Reader,
     ReaderClient,
     ReaderError,
     ReaderServer,
     RemoteReaderSession,
+    access_line,
     entry_to_observation,
     observation_to_entry,
+    round_line,
 )
 from tpcbed.rfchannel import GeometryError
-from tpcbed.tag import TagMode, default_epc, ones_complement_sum16
+from tpcbed.tag import (
+    ApplicationBehavior,
+    EnergyParams,
+    TagMode,
+    default_epc,
+    ones_complement_sum16,
+)
 from tpcbed.world import World
 
 
@@ -115,7 +130,7 @@ class TestInventory:
 
     def test_antennas_alternate_round_by_round(self):
         events = []
-        reader = make_reader(event_sink=events.append)
+        reader = make_reader(event_sink=lambda line: events.append(json.loads(line)))
         reader.run_inventory((2, 3), 5_000.0)
         rounds = [e for e in events if e["event"] == "round"]
         assert len(rounds) >= 2
@@ -123,7 +138,7 @@ class TestInventory:
 
     def test_round_events_carry_virtual_time(self):
         events = []
-        reader = make_reader(event_sink=events.append)
+        reader = make_reader(event_sink=lambda line: events.append(json.loads(line)))
         reader.run_inventory((2,), 2_000.0)
         rounds = [e for e in events if e["event"] == "round"]
         assert rounds[0]["t"].startswith("2016-04-02T00:00:")
@@ -238,7 +253,7 @@ class TestExecuteAccess:
         reader = make_reader()
         charge_all(reader.world)
         events = []
-        reader._sink = events.append
+        reader._sink = lambda line: events.append(json.loads(line))
         reader.execute_access([GotoBiosOp()], default_epc(5))
         assert events[-1]["antennas"] == [3]  # far corner belongs to the angled antenna
 
@@ -256,6 +271,209 @@ class TestExecuteAccess:
         reader = make_reader()
         with pytest.raises(GeometryError):
             reader.execute_access([GotoBiosOp()], default_epc(1), antennas=(42,))
+
+
+# The shape of VirtualClock.iso() text, ASCII digits only (years are unpadded)
+ISO_TEXT = st.from_regex(
+    r"[0-9]{1,4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{3}Z",
+    fullmatch=True,
+)
+ANTENNA_LISTS = st.lists(st.integers(), min_size=1, max_size=2).map(tuple)
+DETAILS = st.one_of(
+    st.none(),
+    st.sampled_from(
+        ["wrong-mode", 'say "no"', "back\\slash", "\x00\x1f\x7f\n\t", "énergie ⚡ 𝄞"]
+    ),
+    st.text(),
+)
+
+
+class TestEventLines:
+    """The rendered lines are what json.dumps(..., sort_keys=True) gives."""
+
+    @given(
+        t=ISO_TEXT,
+        antenna=st.integers(),
+        slots=st.integers(min_value=0),
+        singulated=st.integers(min_value=0),
+        collisions=st.integers(min_value=0),
+    )
+    def test_round_line(self, t, antenna, slots, singulated, collisions):
+        event = {
+            "event": "round",
+            "t": t,
+            "antenna": antenna,
+            "slots": slots,
+            "singulated": singulated,
+            "collisions": collisions,
+        }
+        line = round_line(t, json.dumps(antenna), slots, singulated, collisions)
+        assert line == json.dumps(event, sort_keys=True)
+
+    @given(
+        t=ISO_TEXT,
+        op=st.sampled_from(sorted(OP_KIND_NAMES.values())),
+        target=st.binary(max_size=16),
+        antennas=ANTENNA_LISTS,
+        attempts=st.integers(min_value=0),
+        success=st.booleans(),
+        detail=DETAILS,
+    )
+    def test_access_line(self, t, op, target, antennas, attempts, success, detail):
+        event = {
+            "event": "access",
+            "t": t,
+            "op": op,
+            "target": target.hex(),
+            "antennas": list(antennas),
+            "attempts": attempts,
+            "success": success,
+            "detail": detail,
+        }
+        line = access_line(
+            t, op, target.hex(), json.dumps(list(antennas)), attempts, success, detail
+        )
+        assert line == json.dumps(event, sort_keys=True)
+
+
+APP = 0x4400  # start of the default application region
+ACCESS_OPS = [
+    GotoBiosOp(),
+    BlockWriteOp(APP, (0x0201, 0x0403, 0x0605)),
+    BlockWriteOp(0xFC00, (0xFFFF,)),  # the bootloader: region-violation
+    ChecksumOp(APP, 6),
+    ReadOp(APP, 3),
+    ReadOp(0xFFFE, 4),  # past the address span: region-violation
+    CommitOp(((APP, 6, ones_complement_sum16(bytes(range(1, 7)))),)),
+    # erased flash checks out, and the new application ignores inventory:
+    # the tag stops answering after the commit
+    CommitOp(((0x8000, 4, ones_complement_sum16(b"\xff" * 4)),), responds_to_inventory=False),
+    CommitOp(((APP, 6, 0xBEEF),), obeys_goto_bios=False),  # checksum-mismatch
+]
+TAG_IDS = tuple(sorted(t.tag_id for t in default_config().geometry.tags))
+
+
+def bench_state(world):
+    return [
+        (
+            tag.energy_uj,
+            tag.mode,
+            tag.brownout_count,
+            tag.behavior,
+            bytes(tag.memory.contents),
+        )
+        for _, tag in sorted(world.tags.items())
+    ]
+
+
+@st.composite
+def access_calls(draw):
+    ops = draw(st.lists(st.sampled_from(ACCESS_OPS), min_size=1, max_size=4))
+    target = draw(st.one_of(st.sampled_from(TAG_IDS).map(default_epc), st.just(bytes(12))))
+    antennas = draw(
+        st.sampled_from([(1,), (2,), (3,), (2, 3), (3, 2), (1, 3), (1, 2, 3)])
+    )
+    return ops, target, antennas, draw(st.integers(min_value=0, max_value=30))
+
+
+class TestExecuteAccessMatchesReference:
+    """The reader's retry loop skips harvests on a quiet antenna and reads
+    ``responsive`` only when it can have changed; the reference loop does
+    neither, and both must agree on everything they leave behind."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        # small stores and large idle draws brown tags out within a call;
+        # thresholds across the bench's incident powers (the RSSI floor to
+        # about +19 dBm) make a tag charge on one antenna and drain on
+        # another
+        capacity_uj=st.floats(min_value=0.5, max_value=60.0),
+        efficiency=st.floats(min_value=0.0, max_value=0.5),
+        threshold_dbm=st.floats(min_value=-40.0, max_value=25.0),
+        idle_draw_mw=st.floats(min_value=0.0, max_value=0.5),
+        operate_min_uj=st.floats(min_value=0.0, max_value=5.0),
+        start=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.booleans(),  # in bios
+                st.booleans(),  # obeys goto-bios
+                st.booleans(),  # answers inventory
+            ),
+            min_size=len(TAG_IDS),
+            max_size=len(TAG_IDS),
+        ),
+        calls=st.lists(access_calls(), min_size=1, max_size=3),
+    )
+    def test_same_results_clock_draws_and_tags(
+        self,
+        seed,
+        capacity_uj,
+        efficiency,
+        threshold_dbm,
+        idle_draw_mw,
+        operate_min_uj,
+        start,
+        calls,
+    ):
+        energy = EnergyParams(
+            capacity_uj=capacity_uj,
+            harvest_efficiency=efficiency,
+            harvest_threshold_dbm=threshold_dbm,
+            idle_draw_mw=idle_draw_mw,
+            operate_min_uj=operate_min_uj,
+        )
+        config = replace(default_config(), energy=energy)
+        lines = []
+        fast = make_reader(seed, config, event_sink=lines.append)
+        reference = make_reader(seed, config)
+        for world in (fast.world, reference.world):
+            for tag_id, (share, bios, obeys, answers) in zip(TAG_IDS, start):
+                tag = world.tags[tag_id]
+                # full stores and empty ones sit at fixed points
+                if share < 0.2:
+                    tag.energy_uj = 0.0
+                elif share > 0.8:
+                    tag.energy_uj = capacity_uj
+                else:
+                    tag.energy_uj = share * capacity_uj
+                tag.mode = TagMode.BIOS if bios else TagMode.APPLICATION
+                tag.behavior = ApplicationBehavior(obeys, answers)
+
+        expected_events = []
+        for ops, target, antennas, max_retries in calls:
+            results = fast.execute_access(ops, target, antennas, max_retries)
+            expected, events = execute_access_oracle(
+                reference, ops, target, antennas, max_retries
+            )
+            expected_events.extend(events)
+            assert results == expected
+            assert fast.world.clock.now_ms == reference.world.clock.now_ms
+            assert fast.world.rng.getstate() == reference.world.rng.getstate()
+            assert bench_state(fast.world) == bench_state(reference.world)
+        assert lines == [json.dumps(e, sort_keys=True) for e in expected_events]
+
+    def test_commit_that_ignores_inventory_silences_a_quiet_bench(self):
+        # Every tag at a fixed point on antenna 2, so no harvest in the call
+        # steps a tag: only the dispatch itself can tell the loop that the
+        # committed application stopped answering.
+        readers = [make_reader(3), make_reader(3)]
+        for reader in readers:
+            for tag, incident_dbm in reader.world._harvest_plan[2]:
+                params = tag.energy_params
+                charging = incident_dbm >= params.harvest_threshold_dbm
+                tag.energy_uj = params.capacity_uj if charging else 0.0
+            reader.world.tags[1].mode = TagMode.BIOS
+        deaf_commit = CommitOp(
+            ((0x8000, 4, ones_complement_sum16(b"\xff" * 4)),),
+            responds_to_inventory=False,
+        )
+        ops = [deaf_commit, GotoBiosOp()]
+        results = readers[0].execute_access(ops, default_epc(1), (2,), 5)
+        expected, _ = execute_access_oracle(readers[1], ops, default_epc(1), (2,), 5)
+        assert results == expected
+        assert [r.success for r in results] == [True, False]
+        assert results[1].attempts == 6
 
 
 class TestWireConversions:

@@ -232,12 +232,10 @@ class TestEnergy:
 
     def test_brownout_resets_volatile_state(self):
         tag = bios_tag()
-        tag.inventoried = True
         tag.energy_uj = 0.05
         tag.harvest_step(-50.0, 100.0)
         assert tag.energy_uj == 0.0
         assert tag.mode is TagMode.APPLICATION  # bios does not survive power loss
-        assert not tag.inventoried
         assert tag.brownout_count == 1
 
     def test_brownout_counted_once_per_crossing(self):
