@@ -157,25 +157,35 @@ def _open_log(path: Path | None) -> ExperimentLog | None:
     return None if path is None else ExperimentLog(path)
 
 
+def _leased_call(args, request, *request_args) -> dict | None:
+    """``request(client, token, *request_args)`` on the control server at
+    ``--connect``, under a lease taken for ``--user`` and released after.
+    Prints the error and returns None when the lease or the call fails."""
+    host, port = args.connect
+    with ControlClient(host, port) as client:
+        reply = client.acquire(args.user)
+        if reply.get("ok"):
+            token = reply["token"]
+            try:
+                reply = request(client, token, *request_args)
+            finally:
+                client.release(token)
+    if not reply.get("ok"):
+        print(f"error: {reply.get('detail', reply)}", file=sys.stderr)
+        return None
+    return reply
+
+
 def _cmd_inventory(args) -> int:
     if args.connect is not None:
-        host, port = args.connect
-        with ControlClient(host, port) as client:
-            lease = client.acquire(args.user)
-            if not lease.get("ok"):
-                print(f"error: {lease.get('detail', lease)}", file=sys.stderr)
-                return 1
-            try:
-                reply = client.inventory(
-                    lease["token"],
-                    "+".join(str(a) for a in args.antenna),
-                    args.duration,
-                    args.seed,
-                )
-            finally:
-                client.release(lease["token"])
-        if not reply.get("ok"):
-            print(f"error: {reply.get('detail', reply)}", file=sys.stderr)
+        reply = _leased_call(
+            args,
+            ControlClient.inventory,
+            "+".join(str(a) for a in args.antenna),
+            args.duration,
+            args.seed,
+        )
+        if reply is None:
             return 1
         rows = [
             InventoryRow(
@@ -205,26 +215,16 @@ def _cmd_inventory(args) -> int:
 
 def _cmd_reprogram(args) -> int:
     if args.connect is not None:
-        host, port = args.connect
         firmware_text = args.firmware.read_text()
         image = load_firmware(args.firmware)
         behavior = {
             "obeys_goto_bios": image.obeys_goto_bios,
             "responds_to_inventory": image.responds_to_inventory,
         }
-        with ControlClient(host, port) as client:
-            lease = client.acquire(args.user)
-            if not lease.get("ok"):
-                print(f"error: {lease.get('detail', lease)}", file=sys.stderr)
-                return 1
-            try:
-                reply = client.reprogram(
-                    lease["token"], args.tags, firmware_text, behavior, args.seed
-                )
-            finally:
-                client.release(lease["token"])
-        if not reply.get("ok"):
-            print(f"error: {reply.get('detail', reply)}", file=sys.stderr)
+        reply = _leased_call(
+            args, ControlClient.reprogram, args.tags, firmware_text, behavior, args.seed
+        )
+        if reply is None:
             return 1
         stats = [
             TransferStats(

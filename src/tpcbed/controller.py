@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import TestbedConfig
-from .reader import SORTED_JSON, Reader, TagObservation
+from .reader import SORTED_JSON, Reader, TagObservation, TcpServer
 from .wisent import (
     FirmwareImage,
     TransferPolicy,
@@ -384,7 +384,7 @@ def write_reprogram_csv(stats: list[TransferStats], path: str | Path) -> None:
 # -- network control --------------------------------------------------------
 
 
-class ControlServer:
+class ControlServer(TcpServer):
     """Newline-delimited JSON control endpoint.
 
     Any number of clients may connect; the lease decides who may run
@@ -402,47 +402,11 @@ class ControlServer:
         self.config = config
         self.controller = TestbedController(config)
         self.sessions = SessionManager(config.controller.lease_timeout_s)
-        bind_host = host if host is not None else config.controller.host
-        bind_port = port if port is not None else config.controller.control_port
-        self._sock = socket.create_server((bind_host, bind_port))
-        # closing the listener does not wake a blocking accept(); poll
-        self._sock.settimeout(0.1)
-        self.host, self.port = self._sock.getsockname()[:2]
-        self._closing = threading.Event()
-        self._thread = threading.Thread(
-            target=self._accept_loop, name="control-server", daemon=True
+        super().__init__(
+            host if host is not None else config.controller.host,
+            port if port is not None else config.controller.control_port,
+            "control-server",
         )
-
-    def start(self) -> "ControlServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._closing.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "ControlServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            conn.settimeout(None)
-            threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
-            ).start()
 
     def _serve(self, conn: socket.socket) -> None:
         try:

@@ -3,10 +3,9 @@
 This is the frame-slotted anticollision loop UHF readers run: every
 responsive tag draws one slot out of 2**Q, a slot with exactly one
 decoded reply singulates that tag, and the floating-point Q estimate
-drifts up on collisions and down on silence.  Access operations ride on
-top with a command-plus-acknowledgment delivery model, so one attempt
-lands with probability p*p on a link whose single-message delivery
-probability is p.
+drifts up on collisions and down on silence.  AccessResult records one
+retried access operation; the retry loop itself is
+``Reader.execute_access``.
 
 Randomness comes exclusively from the ``random.Random`` instance the
 caller passes in, which keeps every run replayable from its seed.
@@ -237,46 +236,4 @@ def run_inventory_round(
         q_fp_after=q_fp,
         start_time_ms=start_time_ms,
         slot_ms=config.slot_duration_ms,
-    )
-
-
-def run_access_attempts(
-    delivery_probability: float,
-    max_retries: int,
-    rng: random.Random,
-) -> tuple[bool, int]:
-    """Retry loop for one access operation, success chance p*p per attempt.
-
-    Returns (delivered, attempts) with attempts <= max_retries + 1.
-    """
-    p_attempt = delivery_probability * delivery_probability
-    attempts = 0
-    while attempts <= max_retries:
-        attempts += 1
-        if rng.random() < p_attempt:
-            return True, attempts
-    return False, attempts
-
-
-def access_write(
-    tag,
-    start_address: int,
-    words: list[int],
-    delivery_probability: float,
-    max_retries: int,
-    rng: random.Random,
-) -> AccessResult:
-    """Deliver one block write to ``tag`` with retries.
-
-    ``tag`` must expose ``epc`` and ``on_write_words(start, words)``
-    returning an object with ``ok``/``reason``.  The write handler runs
-    exactly once, on the attempt that gets through; retry exhaustion is
-    reported as a failed result, never an exception.
-    """
-    delivered, attempts = run_access_attempts(delivery_probability, max_retries, rng)
-    if not delivered:
-        return AccessResult("block-write", tag.epc, False, attempts, "undelivered")
-    reply = tag.on_write_words(start_address, words)
-    return AccessResult(
-        "block-write", tag.epc, reply.ok, attempts, reply.reason
     )

@@ -12,7 +12,8 @@ code wants (``slot_duration_ms`` + ``execute_access``), so in-process
 callers use it directly.  ReaderServer/ReaderClient carry the same
 operations over TCP with the binary framing from the llrp module;
 RemoteReaderSession adapts the client back to the session interface so
-callers cannot tell local from remote.
+callers cannot tell local from remote.  TcpServer is the accept loop
+ReaderServer shares with the control server.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .tag import (
     TagMode,
     WORD_BYTES,
 )
+from .wisent import choose_antennas
 from .world import World
 
 READER_MODEL = "tpcbed-sim"
@@ -314,32 +316,6 @@ class Reader:
             )
         raise TypeError(f"not an access op: {type(op).__name__}")
 
-    def _best_antenna(self, target_epc: bytes) -> tuple[int, ...]:
-        tag = self.world.tag_by_epc(target_epc)
-        all_ids = self.world.config.geometry.antenna_ids()
-        if tag is None:
-            return all_ids
-        best = None
-        for antenna_id in all_ids:
-            try:
-                quality = self.world.link(antenna_id, tag.tag_id)
-            except GeometryError:
-                continue
-            if quality.delivery_probability <= 0.0:
-                continue
-            if best is None or quality.rssi_dbm > best[1]:
-                best = (antenna_id, quality.rssi_dbm)
-        return all_ids if best is None else (best[0],)
-
-    def _success_probability(self, antenna_id: int, tag) -> float | None:
-        if tag is None:
-            return None
-        try:
-            p = self.world.link(antenna_id, tag.tag_id).delivery_probability
-        except GeometryError:
-            return None
-        return p * p
-
     def execute_access(
         self,
         ops,
@@ -355,13 +331,20 @@ class Reader:
         retried, and a failed command stops the sequence: no frames are
         spent on commands after a failure.
         """
+        world = self.world
+        geometry = world.config.geometry
+        tag = world.tag_by_epc(target_epc)
         if not antennas:
-            antennas = self._best_antenna(target_epc)
+            # The best usable link; every antenna for an unknown EPC or a
+            # tag with no usable link.
+            best = () if tag is None else choose_antennas(
+                geometry, world.config.link, tag.tag_id, tie_db=0.0
+            )
+            antennas = best[:1] or geometry.antenna_ids()
         else:
             for antenna_id in antennas:
-                self.world.config.geometry.antenna(antenna_id)
+                geometry.antenna(antenna_id)
 
-        world = self.world
         clock = world.clock
         harvest_all = world.harvest_all
         random = world.rng.random
@@ -372,8 +355,12 @@ class Reader:
         # them up once.  Command and reply must both survive the link:
         # an attempt succeeds with probability p², None where there is
         # no link at all.
-        tag = world.tag_by_epc(target_epc)
-        success_p = [self._success_probability(a, tag) for a in antennas]
+        tag_id = None if tag is None else tag.tag_id
+        success_p = []
+        for antenna_id in antennas:
+            quality = world.links.get((antenna_id, tag_id))
+            p = None if quality is None else quality.delivery_probability
+            success_p.append(None if p is None else p * p)
         if sink is not None:
             target_hex = target_epc.hex()
             antennas_json = SORTED_JSON.encode(list(antennas))
@@ -454,8 +441,10 @@ class Reader:
             self.world.config.geometry.antenna(antenna_id)
         self.accessspecs[spec.accessspec_id] = spec
 
+    # Running a stored spec consumes it, so a long-lived reader holds
+    # only the specs added and not yet started.
     def run_rospec(self, rospec_id: int) -> list[list[TagObservation]]:
-        spec = self.rospecs[rospec_id]
+        spec = self.rospecs.pop(rospec_id)
         return self.run_inventory(
             spec.antenna_ids,
             float(spec.duration_ms),
@@ -464,7 +453,7 @@ class Reader:
         )
 
     def run_accessspec(self, accessspec_id: int) -> list[AccessResult]:
-        spec = self.accessspecs[accessspec_id]
+        spec = self.accessspecs.pop(accessspec_id)
         return self.execute_access(
             spec.ops,
             spec.target_epc,
@@ -536,30 +525,27 @@ def _disable_nagle(sock: socket.socket) -> None:
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
-class ReaderServer:
-    """Serves one Reader to one client at a time over TCP.
+class TcpServer:
+    """Accepts TCP connections on a background thread, each served on its own.
 
-    A second concurrent connection is refused with a busy error rather
-    than queued: interleaving two controllers on one RF front end would
-    corrupt both of their runs.  Within a connection, decode errors on a
-    well-framed message get an error reply and the connection survives;
-    unframeable garbage (bad version, absurd length) ends it.
+    A subclass implements ``_serve(conn)``, which owns the connection
+    and closes it.  ``_admit(conn)`` runs on the accept thread first, so
+    connections are admitted or refused in arrival order; one it refuses
+    it must close itself.
     """
 
-    def __init__(self, reader: Reader, host: str = "127.0.0.1", port: int = 0):
-        self.reader = reader
+    def __init__(self, host: str, port: int, name: str):
         self._sock = socket.create_server((host, port))
         # a plain close() does not wake a blocking accept() on Linux, so
         # poll: close() then costs at most one timeout tick
         self._sock.settimeout(0.1)
         self.host, self.port = self._sock.getsockname()[:2]
-        self._busy = threading.Lock()
         self._closing = threading.Event()
         self._thread = threading.Thread(
-            target=self._accept_loop, name="reader-server", daemon=True
+            target=self._accept_loop, name=name, daemon=True
         )
 
-    def start(self) -> "ReaderServer":
+    def start(self):
         self._thread.start()
         return self
 
@@ -571,7 +557,7 @@ class ReaderServer:
             pass
         self._thread.join(timeout=5.0)
 
-    def __enter__(self) -> "ReaderServer":
+    def __enter__(self):
         return self.start()
 
     def __exit__(self, *exc) -> None:
@@ -586,22 +572,45 @@ class ReaderServer:
             except OSError:
                 return
             conn.settimeout(None)
-            _disable_nagle(conn)
-            if not self._busy.acquire(blocking=False):
-                try:
-                    conn.sendall(
-                        encode(
-                            ErrorMessage(
-                                0, int(ErrorCode.BUSY), "reader has an active client"
-                            )
-                        )
+            if self._admit(conn):
+                threading.Thread(
+                    target=self._serve, args=(conn,), daemon=True
+                ).start()
+
+    def _admit(self, conn: socket.socket) -> bool:
+        return True
+
+
+class ReaderServer(TcpServer):
+    """Serves one Reader to one client at a time over TCP.
+
+    A second concurrent connection is refused with a busy error rather
+    than queued: interleaving two controllers on one RF front end would
+    corrupt both of their runs.  Within a connection, decode errors on a
+    well-framed message get an error reply and the connection survives;
+    unframeable garbage (bad version, absurd length) ends it.
+    """
+
+    def __init__(self, reader: Reader, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port, "reader-server")
+        self.reader = reader
+        self._busy = threading.Lock()
+
+    def _admit(self, conn: socket.socket) -> bool:
+        _disable_nagle(conn)
+        if self._busy.acquire(blocking=False):
+            return True
+        try:
+            conn.sendall(
+                encode(
+                    ErrorMessage(
+                        0, int(ErrorCode.BUSY), "reader has an active client"
                     )
-                finally:
-                    conn.close()
-                continue
-            threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
-            ).start()
+                )
+            )
+        finally:
+            conn.close()
+        return False
 
     def _serve(self, conn: socket.socket) -> None:
         stream = FrameStream()

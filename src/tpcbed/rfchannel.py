@@ -317,12 +317,17 @@ def delivery_probability(params: LinkBudgetParams, rssi_dbm: float) -> float:
 
     Logistic in the RSSI with the configured midpoint and slope, except
     exactly zero at (or below) the floor: a link at the floor carries
-    nothing, ever.
+    nothing, ever.  Far enough below the midpoint on a steep slope,
+    exp(-x) exceeds the largest float; the logistic there is under
+    6e-309, and is taken as zero.
     """
     if rssi_dbm <= params.rssi_floor_dbm:
         return 0.0
     x = (rssi_dbm - params.delivery_midpoint_dbm) / params.delivery_slope_db
-    return 1.0 / (1.0 + math.exp(-x))
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 def link_quality(

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .llrp import BlockWriteOp, ChecksumOp, CommitOp, GotoBiosOp
 from .rfchannel import (
+    GeometryError,
     LinkBudgetParams,
     TestbedGeometry,
     link_quality,
@@ -284,16 +285,16 @@ def choose_antennas(
 ) -> tuple[int, ...]:
     """Antennas to enable for one tag: the best link, plus any within tie_db.
 
-    Links sitting at the RSSI floor are unusable and never selected
-    (unless every link is at the floor, in which case nothing is).
+    Antenna ids come back in ascending order.  A link that delivers
+    nothing is never selected; a tag with no such link gets ``()``.
     """
     candidates = []
     for port in geometry.antennas:
         try:
             quality = link_quality(geometry, params, port.antenna_id, tag_id)
-        except Exception:
+        except GeometryError:
             continue
-        if quality.rssi_dbm > params.rssi_floor_dbm:
+        if quality.delivery_probability > 0.0:
             candidates.append((port.antenna_id, quality.rssi_dbm))
     if not candidates:
         return ()

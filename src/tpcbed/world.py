@@ -18,14 +18,7 @@ from datetime import datetime, timedelta
 
 from .config import TestbedConfig
 from .gen2 import ReachableTag
-from .rfchannel import (
-    GeometryError,
-    LinkQuality,
-    incident_power_dbm,
-    link_quality,
-    neighbor_count,
-    resolve_placement,
-)
+from .rfchannel import LinkQuality, link_quality, resolve_placement
 from .tag import ApplicationBehavior, CrfidTag, default_epc
 
 _US_PER_DAY = 86_400_000_000
@@ -118,44 +111,40 @@ class World:
                 energy=config.energy,
                 behavior=behavior,
             )
-        self._links: dict[tuple[int, int], LinkQuality] = {}
+        # Placements are static, so every placed (antenna, tag) link is
+        # computed once, here.  Each antenna's harvest plan (the floor for
+        # a tag with no placement) and the tags it can hear come from it.
+        geometry = config.geometry
+        self.links: dict[tuple[int, int], LinkQuality] = {
+            (antenna_id, placement.tag_id): link_quality(
+                geometry, config.link, antenna_id, placement.tag_id
+            )
+            for placement in geometry.tags
+            for antenna_id in placement.links
+        }
+        self._harvest_plan: dict[int, list[tuple[CrfidTag, float]]] = {}
         self._reachable_rows: dict[int, list[tuple[CrfidTag, ReachableTag]]] = {}
-        self._harvest_plan = self._build_harvest_plan()
-
-    # Incident power never changes during a run (placements are static),
-    # so the per-antenna illumination table is computed once.
-    def _build_harvest_plan(self) -> dict[int, list[tuple[CrfidTag, float]]]:
-        geometry = self.config.geometry
-        params = self.config.link
-        plan: dict[int, list[tuple[CrfidTag, float]]] = {}
-        for port in geometry.antennas:
-            rows = []
-            for placement in geometry.tags:
-                tag = self.tags[placement.tag_id]
-                try:
-                    distance, angle = resolve_placement(
-                        geometry, port.antenna_id, placement.tag_id
-                    )
-                except GeometryError:
-                    rows.append((tag, params.rssi_floor_dbm))
+        for antenna_id in geometry.antenna_ids():
+            plan = self._harvest_plan[antenna_id] = []
+            rows = self._reachable_rows[antenna_id] = []
+            for tag_id, tag in sorted(self.tags.items()):
+                quality = self.links.get((antenna_id, tag_id))
+                if quality is None:
+                    plan.append((tag, config.link.rssi_floor_dbm))
                     continue
-                neighbors = neighbor_count(
-                    geometry, placement.tag_id, params.coupling_radius_m
-                )
-                rows.append(
-                    (
-                        tag,
-                        incident_power_dbm(
-                            params,
-                            distance,
-                            angle,
-                            neighbors,
-                            antenna_gain_dbi=port.gain_dbi,
-                        ),
+                plan.append((tag, quality.incident_power_dbm))
+                if quality.delivery_probability > 0.0:
+                    rows.append(
+                        (
+                            tag,
+                            ReachableTag(
+                                tag_id=tag_id,
+                                epc=tag.epc,
+                                rssi_dbm=quality.rssi_dbm,
+                                delivery_probability=quality.delivery_probability,
+                            ),
+                        )
                     )
-                )
-            plan[port.antenna_id] = rows
-        return plan
 
     def tag(self, tag_id: int) -> CrfidTag:
         return self.tags[tag_id]
@@ -167,14 +156,12 @@ class World:
         return None
 
     def link(self, antenna_id: int, tag_id: int) -> LinkQuality:
-        key = (antenna_id, tag_id)
-        cached = self._links.get(key)
-        if cached is None:
-            cached = link_quality(
-                self.config.geometry, self.config.link, antenna_id, tag_id
-            )
-            self._links[key] = cached
-        return cached
+        quality = self.links.get((antenna_id, tag_id))
+        if quality is None:
+            # Every placed pair is in the table, so the geometry raises
+            # the GeometryError naming the unknown id or missing placement.
+            resolve_placement(self.config.geometry, antenna_id, tag_id)
+        return quality
 
     def harvest_all(self, antenna_id: int, dt_ms: float) -> bool:
         """One illumination interval: the active antenna charges every
@@ -207,32 +194,5 @@ class World:
         A tag is excluded when its link sits at the noise floor, when
         it is out of energy, or when its application ignores inventory.
         """
-        rows = self._reachable_rows.get(antenna_id)
-        if rows is None:
-            rows = self._reachable_rows[antenna_id] = self._link_rows(antenna_id)
+        rows = self._reachable_rows.get(antenna_id, ())
         return [row for tag, row in rows if tag.responsive]
-
-    # Links and EPCs are fixed for a run; only responsiveness changes from
-    # round to round, so each antenna's candidate rows are built once.
-    def _link_rows(self, antenna_id: int) -> list[tuple[CrfidTag, ReachableTag]]:
-        rows = []
-        for tag_id in sorted(self.tags):
-            try:
-                quality = self.link(antenna_id, tag_id)
-            except GeometryError:
-                continue
-            if quality.delivery_probability <= 0.0:
-                continue
-            tag = self.tags[tag_id]
-            rows.append(
-                (
-                    tag,
-                    ReachableTag(
-                        tag_id=tag_id,
-                        epc=tag.epc,
-                        rssi_dbm=quality.rssi_dbm,
-                        delivery_probability=quality.delivery_probability,
-                    ),
-                )
-            )
-        return rows

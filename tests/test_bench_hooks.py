@@ -1,0 +1,71 @@
+"""The traced benchmark wraps named entry points of the package from
+outside (``perfbench/layers.py``).  A refactor that renames or moves one
+of them breaks only the traced run, so this checks every hook resolves,
+that wrapped code still runs, and that ``restore`` puts every original
+back."""
+
+import collections
+import functools
+import sys
+from pathlib import Path
+
+from tpcbed.config import default_config
+from tpcbed.controller import TestbedController as Controller
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class PassThroughTracer:
+    """Stands in for ``spans.Tracer``: counts calls per span name and runs
+    each hook's ``on_return`` the way the tracer does."""
+
+    def __init__(self):
+        self.calls = collections.Counter()
+        self.counts = collections.Counter()
+
+    def wrap(self, fn, name, on_return=None):
+        self.calls[name] += 0
+
+        @functools.wraps(fn)
+        def passed_through(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            self.calls[name] += 1
+            if on_return is not None:
+                on_return(self.counts, result, args)
+            return result
+
+        return passed_through
+
+
+def package_namespace():
+    """Every attribute of every tpcbed module and of every class in one."""
+    snapshot = {}
+    for name, module in list(sys.modules.items()):
+        if name != "tpcbed" and not name.startswith("tpcbed."):
+            continue
+        for attr, value in vars(module).items():
+            snapshot[name, attr] = value
+            if isinstance(value, type):
+                for member, member_value in vars(value).items():
+                    snapshot[name, attr, member] = member_value
+    return snapshot
+
+
+def test_instrument_wraps_every_hook_and_restore_undoes_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import instrument
+
+    before = package_namespace()
+    tracer = PassThroughTracer()
+    worlds = []
+    restore = instrument(tracer, worlds)
+    try:
+        Controller(default_config()).run_inventory_experiment((2,), 1.0)
+    finally:
+        restore()
+    assert package_namespace() == before
+    assert tracer.calls["world.init"] == 1 and len(worlds) == 1
+    assert tracer.calls["gen2.round"] > 0 and tracer.counts["gen2.slots"] > 0
+    assert {"world.link", "wisent.choose_antennas", "tag.harvest_step"} <= set(
+        tracer.calls
+    )

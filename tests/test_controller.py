@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from tpcbed.config import TagProfile, default_config
+from tpcbed.config import TagProfile, config_from_mapping, default_config
 from tpcbed.controller import (
     ControlClient,
     ControlServer,
@@ -212,6 +212,13 @@ class TestInventoryExperiment:
     def test_zero_duration_runs_no_rounds(self):
         rows = Controller(default_config()).run_inventory_experiment((2,), 0.0)
         assert rows == []
+
+    def test_steep_delivery_slope_runs(self):
+        # A 0.01 dB slope puts exp(-x) past the float range on every link
+        # well under the midpoint; such a link carries nothing.
+        config = config_from_mapping({"link": {"delivery_slope_db": 0.01}})
+        rows = Controller(config).run_inventory_experiment((1, 2, 3), 10.0, seed=3)
+        assert [(r.antenna_id, r.tag_id) for r in rows] == [(1, 6), (2, 1), (2, 2)]
 
     def test_different_seed_changes_counts(self):
         controller = Controller(default_config())

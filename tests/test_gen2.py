@@ -17,7 +17,6 @@ from tpcbed.gen2 import (
     SlotKind,
     adjust_q,
     rounded_q,
-    run_access_attempts,
     run_inventory_round,
 )
 
@@ -161,42 +160,6 @@ class TestInventoryRound:
         simulated = {k: v / rounds for k, v in counts.items()}
         exact = singulation_distribution(2, probabilities)
         assert total_variation(simulated, exact) < 0.03
-
-
-class TestAccessAttempts:
-    def test_perfect_link_takes_one_attempt(self):
-        ok, attempts = run_access_attempts(1.0, 16, random.Random(0))
-        assert ok and attempts == 1
-
-    def test_dead_link_exhausts_budget(self):
-        ok, attempts = run_access_attempts(0.0, 7, random.Random(0))
-        assert not ok and attempts == 8
-
-    def test_zero_retries_means_single_attempt(self):
-        ok, attempts = run_access_attempts(0.0, 0, random.Random(0))
-        assert not ok and attempts == 1
-
-    def test_mean_attempts_tracks_square_law(self):
-        # p = 0.5 means p_attempt = 0.25, so mean attempts ~ 4.
-        rng = random.Random(11)
-        total = 0
-        n = 4000
-        for _ in range(n):
-            ok, attempts = run_access_attempts(0.5, 10_000, rng)
-            assert ok
-            total += attempts
-        assert total / n == pytest.approx(4.0, rel=0.1)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=0, max_value=50),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_attempts_always_within_budget(self, p, max_retries, seed):
-        ok, attempts = run_access_attempts(p, max_retries, random.Random(seed))
-        assert 1 <= attempts <= max_retries + 1
-        if not ok:
-            assert attempts == max_retries + 1
 
 
 class TestReachableTag:

@@ -1,6 +1,7 @@
 """Reader behavior: inventory scheduling, access retries, and the TCP path."""
 
 import json
+import math
 import socket
 import time
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import execute_access_oracle
 from tpcbed.config import TagProfile, default_config
 from tpcbed.llrp import (
+    AddAccessSpec,
     AddROSpec,
     BlockWriteOp,
     ChecksumOp,
@@ -41,7 +43,12 @@ from tpcbed.reader import (
     observation_to_entry,
     round_line,
 )
-from tpcbed.rfchannel import GeometryError
+from tpcbed.rfchannel import (
+    AntennaPort,
+    GeometryError,
+    TagPlacement,
+    TestbedGeometry as Geometry,  # alias dodges pytest class collection
+)
 from tpcbed.tag import (
     ApplicationBehavior,
     EnergyParams,
@@ -49,6 +56,7 @@ from tpcbed.tag import (
     default_epc,
     ones_complement_sum16,
 )
+from tpcbed.wisent import choose_antennas
 from tpcbed.world import World
 
 
@@ -271,6 +279,120 @@ class TestExecuteAccess:
         reader = make_reader()
         with pytest.raises(GeometryError):
             reader.execute_access([GotoBiosOp()], default_epc(1), antennas=(42,))
+
+
+class TestAccessAttempts:
+    """The retry loop's budget and its square law, on ``execute_access``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        tag_id=st.integers(min_value=0, max_value=6),
+        antenna_id=st.sampled_from((1, 2, 3)),
+        max_retries=st.integers(min_value=0, max_value=50),
+        charged=st.booleans(),
+    )
+    def test_attempts_always_within_budget(
+        self, seed, tag_id, antenna_id, max_retries, charged
+    ):
+        reader = make_reader(seed=seed)
+        if charged:
+            charge_all(reader.world)
+        (result,) = reader.execute_access(
+            [GotoBiosOp()], default_epc(tag_id), (antenna_id,), max_retries
+        )
+        assert 1 <= result.attempts <= max_retries + 1
+        if not result.success:  # a go-to-bios is never refused
+            assert result.attempts == max_retries + 1
+
+    def test_dead_link_exhausts_budget(self):
+        # antenna 2 has no placement for the lone tag: no draw, no delivery
+        reader = make_reader()
+        charge_all(reader.world)
+        rng_state = reader.world.rng.getstate()
+        (result,) = reader.execute_access(
+            [GotoBiosOp()], default_epc(6), (2,), max_retries=7
+        )
+        assert not result.success and result.attempts == 8
+        assert reader.world.rng.getstate() == rng_state
+
+    def test_zero_retries_means_single_attempt(self):
+        # antenna 3's null sits on tag 0: a link that delivers nothing
+        reader = make_reader()
+        charge_all(reader.world)
+        (result,) = reader.execute_access(
+            [GotoBiosOp()], default_epc(0), (3,), max_retries=0
+        )
+        assert not result.success and result.attempts == 1
+
+    def test_perfect_link_takes_one_attempt(self):
+        reader = make_reader()
+        charge_all(reader.world)
+        reader.world.rng.random = lambda: 0.0  # the first draw lands
+        (result,) = reader.execute_access(
+            [GotoBiosOp()], default_epc(1), (2,), max_retries=16
+        )
+        assert result.success and result.attempts == 1
+
+    def test_mean_attempts_tracks_square_law(self):
+        # Tag 2 stays charged under antenna 2, so each attempt is one draw
+        # that lands with q = p², and the attempts A of one op are
+        # geometric cut off at M + 1: P(A >= k) = (1 - q)^(k - 1).  The
+        # mean over n seeds must be within 4 standard errors of E[A].
+        max_retries, n = 3, 1500
+        p = World(default_config()).link(2, 2).delivery_probability
+        miss = 1.0 - p * p
+        tail = [miss ** (k - 1) for k in range(1, max_retries + 2)]
+        mean = sum(tail)
+        variance = sum((2 * k - 1) * t for k, t in enumerate(tail, 1)) - mean**2
+        total = 0
+        for seed in range(n):
+            reader = make_reader(seed=seed)
+            charge_all(reader.world)
+            (result,) = reader.execute_access(
+                [GotoBiosOp()], default_epc(2), (2,), max_retries
+            )
+            assert reader.world.tag(2).brownout_count == 0
+            total += result.attempts
+        assert abs(total / n - mean) < 4.0 * math.sqrt(variance / n)
+
+
+#: The antenna ``execute_access`` takes for each tag when given none.
+DEFAULT_ANTENNA = {
+    "default": {0: (2,), 1: (2,), 2: (2,), 3: (2,), 4: (3,), 5: (3,), 6: (1,)},
+    "reversed": {0: (3,), 1: (2,), 2: (2,), 3: (3,), 4: (3,), 5: (3,), 6: (1,)},
+}
+
+
+class TestDefaultAntenna:
+    @staticmethod
+    def antennas_used(reader, epc):
+        events = []
+        reader._sink = lambda line: events.append(json.loads(line))
+        reader.execute_access([GotoBiosOp()], epc, max_retries=0)
+        return tuple(events[-1]["antennas"])
+
+    @pytest.mark.parametrize("angle_preset", sorted(DEFAULT_ANTENNA))
+    def test_best_link_per_tag(self, angle_preset):
+        reader = make_reader(config=default_config(angle_preset))
+        got = {
+            tag_id: self.antennas_used(reader, default_epc(tag_id))
+            for tag_id in range(7)
+        }
+        assert got == DEFAULT_ANTENNA[angle_preset]
+
+    def test_unknown_epc_gets_every_antenna(self):
+        assert self.antennas_used(make_reader(), bytes(12)) == (1, 2, 3)
+
+    def test_exact_tie_goes_to_the_lowest_antenna_id(self):
+        # Antennas listed out of id order, one tag placed alike before both.
+        geometry = Geometry(
+            antennas=(AntennaPort(3), AntennaPort(2)),
+            tags=(TagPlacement(0, {3: (0.2, 0.0), 2: (0.2, 0.0)}),),
+        )
+        config = replace(default_config(), geometry=geometry)
+        assert choose_antennas(geometry, config.link, 0, tie_db=0.0) == (2, 3)
+        assert self.antennas_used(make_reader(config=config), default_epc(0)) == (2,)
 
 
 # The shape of VirtualClock.iso() text, ASCII digits only (years are unpadded)
@@ -578,6 +700,24 @@ class TestServerClient:
                 with pytest.raises(ReaderError) as err:
                     client.request(StartROSpec(client._take_id(), 404))
                 assert err.value.error.code == 2
+
+    def test_started_specs_are_consumed(self):
+        reader = make_reader(seed=2)
+        with ReaderServer(reader) as server:
+            with ReaderClient(server.host, server.port) as client:
+                for _ in range(3):
+                    client.execute_access([GotoBiosOp()], default_epc(1), (2,), 8)
+                client.run_inventory((2,), 1_000)
+                assert reader.accessspecs == {} and reader.rospecs == {}
+                for spec_id, spec in (
+                    (7, AddROSpec(client._take_id(), 7, (2,), 0, "end", 0)),
+                    (8, AddAccessSpec(client._take_id(), 8, bytes(12), (), 0, ())),
+                ):
+                    client.request(spec)
+                    client.request(StartROSpec(client._take_id(), spec_id))
+                    with pytest.raises(ReaderError) as err:
+                        client.request(StartROSpec(client._take_id(), spec_id))
+                    assert err.value.error.code == 2
 
     def test_stop_rospec_known_and_unknown(self):
         with ReaderServer(make_reader()) as server:

@@ -210,6 +210,18 @@ class TestChannelFunctions:
                 logistic_oracle(rssi, mid, PARAMS.delivery_slope_db)
             )
 
+    def test_steep_slope_far_below_midpoint_is_zero_not_an_overflow(self):
+        # 0.01 dB slope: 15 dB under the midpoint, exp(-x) is exp(1500)
+        steep = LinkBudgetParams(delivery_slope_db=0.01)
+        mid = steep.delivery_midpoint_dbm
+        assert delivery_probability(steep, mid - 15.0) == 0.0
+        assert delivery_probability(steep, mid + 15.0) == 1.0
+        # up to where exp overflows, the logistic is computed as before
+        for rssi in (mid - 7.0, mid - 1.0, mid, mid + 1.0):
+            assert delivery_probability(steep, rssi) == logistic_oracle(
+                rssi, mid, steep.delivery_slope_db
+            )
+
     def test_doubling_far_field_distance_costs_12db(self):
         lo = backscatter_rssi_dbm(PARAMS, 0.2, 0.0)
         hi = backscatter_rssi_dbm(PARAMS, 0.4, 0.0)

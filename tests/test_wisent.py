@@ -177,6 +177,14 @@ class TestAntennaChoice:
         for tag_id, antennas in want.items():
             assert choose_antennas(self.GEOMETRY, self.PARAMS, tag_id) == antennas
 
+    def test_frozen_choices_reversed_preset(self):
+        # tag 0 is aligned with the angled antenna; tags 2 and 3 see both
+        # within the 3 dB tie window
+        geometry = default_geometry("reversed")
+        want = {0: (3,), 1: (2,), 2: (2, 3), 3: (2, 3), 4: (3,), 5: (3,), 6: (1,)}
+        for tag_id, antennas in want.items():
+            assert choose_antennas(geometry, self.PARAMS, tag_id) == antennas
+
     def test_tie_window_zero_picks_single_best(self):
         assert choose_antennas(self.GEOMETRY, self.PARAMS, 4, tie_db=0.0) == (3,)
 

@@ -72,6 +72,32 @@ def test_negative_interval_rejected_even_at_fixed_points():
         world.harvest_all(1, -1.0)
 
 
+@pytest.mark.parametrize("angle_preset", ["default", "reversed"])
+def test_harvest_plan_is_each_links_incident_power(angle_preset):
+    config = default_config(angle_preset)
+    world = World(config)
+    for antenna_id in (1, 2, 3):
+        for tag, incident_dbm in world._harvest_plan[antenna_id]:
+            try:
+                quality = link_quality(
+                    config.geometry, config.link, antenna_id, tag.tag_id
+                )
+            except GeometryError:
+                assert incident_dbm == config.link.rssi_floor_dbm
+            else:
+                assert incident_dbm == quality.incident_power_dbm
+                assert world.link(antenna_id, tag.tag_id) == quality
+
+
+@pytest.mark.parametrize(
+    "antenna_id, tag_id",
+    [(2, 6), (1, 0), (9, 0), (2, 42), (9, 42)],  # unplaced pairs, unknown ids
+)
+def test_link_without_a_placement_raises(antenna_id, tag_id):
+    with pytest.raises(GeometryError):
+        World(default_config()).link(antenna_id, tag_id)
+
+
 def fresh_reachable(world, antenna_id):
     """Reference: every link computed anew, every row built anew."""
     rows = []
