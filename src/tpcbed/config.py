@@ -102,6 +102,7 @@ class TestbedConfig:
         self.energy.validate()
         self.inventory.validate()
         self.transfer.validate()
+        self.transfer.bios_retries(self.inventory.slot_duration_ms)
         self.controller.validate()
         for tag_id, profile in self.tag_profiles.items():
             if tag_id not in self.geometry.tag_ids():

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import TestbedConfig
+from .llrp import MAX_FRAME_LEN
 from .reader import SORTED_JSON, Reader, TagObservation, TcpServer
 from .wisent import (
     FirmwareImage,
@@ -45,6 +46,10 @@ from .world import World
 #: survey costs wall time in proportion, and a control request holds the
 #: server thread and the lease until it ends.
 MAX_DURATION_S = 86_400.0
+
+#: Longest request line, newline included: the reader protocol's frame
+#: cap.  A reprogram request carrying a whole-span image is about 205 KB.
+MAX_LINE_BYTES = MAX_FRAME_LEN
 
 #: Which antennas each named bench arrangement energizes.
 ENVIRONMENTS = {
@@ -410,12 +415,21 @@ class ControlServer(TcpServer):
 
     def _serve(self, conn: socket.socket) -> None:
         try:
-            with conn.makefile("rwb") as stream:
-                for line in stream:
+            # A BufferedReader's readline keeps to its limit; a read-write
+            # pair's can read past it.
+            with conn.makefile("rb") as stream:
+                while line := stream.readline(MAX_LINE_BYTES):
+                    too_long = (
+                        len(line) == MAX_LINE_BYTES and not line.endswith(b"\n")
+                    )
                     line = line.strip()
-                    if not line:
+                    if not (line or too_long):
                         continue
                     try:
+                        if too_long:
+                            raise ValueError(
+                                f"request line over {MAX_LINE_BYTES} bytes"
+                            )
                         request = json.loads(line)
                         if not isinstance(request, dict):
                             raise ValueError("request must be an object")
@@ -427,8 +441,9 @@ class ControlServer(TcpServer):
                         }
                     else:
                         reply = self._handle(request)
-                    stream.write(SORTED_JSON.encode(reply).encode() + b"\n")
-                    stream.flush()
+                    conn.sendall(SORTED_JSON.encode(reply).encode() + b"\n")
+                    if too_long:
+                        break  # the rest of the line is never read
         except (OSError, ValueError):
             pass
         finally:
@@ -460,10 +475,11 @@ class ControlServer(TcpServer):
             if cmd == "inventory":
                 self.sessions.validate(str(request.get("token", "")))
                 antennas = _parse_antennas(request.get("antennas"))
+                duration_s = request.get("duration_s", 30.0)
                 rows = self.controller.run_inventory_experiment(
                     antennas,
-                    float(request.get("duration_s", 30.0)),
-                    _parse_seed(request),
+                    float(_expect(duration_s, _NUMBER, "duration_s")),
+                    _expect(request.get("seed", 0), _INTEGER, "seed"),
                 )
                 return {
                     "ok": True,
@@ -485,16 +501,17 @@ class ControlServer(TcpServer):
                 if behavior:
                     image = dataclasses.replace(
                         image,
-                        obeys_goto_bios=bool(
-                            behavior.get("obeys_goto_bios", True)
-                        ),
-                        responds_to_inventory=bool(
-                            behavior.get("responds_to_inventory", True)
-                        ),
+                        **{
+                            flag: _expect(behavior.get(flag, True), _BOOLEAN, flag)
+                            for flag in ("obeys_goto_bios", "responds_to_inventory")
+                        },
                     )
-                tag_ids = tuple(int(t) for t in request.get("tags", ()))
+                tag_ids = tuple(
+                    _expect(t, _INTEGER, "tag id") for t in request.get("tags", ())
+                )
+                seed = _expect(request.get("seed", 0), _INTEGER, "seed")
                 stats = self.controller.run_reprogram_experiment(
-                    tag_ids, image, _parse_seed(request)
+                    tag_ids, image, seed
                 )
                 return {
                     "ok": True,
@@ -532,12 +549,18 @@ class ControlServer(TcpServer):
             return {"ok": False, "error": "bad-request", "detail": str(exc)}
 
 
-def _parse_seed(request: dict) -> int:
-    # int() would quietly turn 1.9 and true into seed 1
-    seed = request.get("seed", 0)
-    if type(seed) is not int:
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    return seed
+# The exact Python types json.loads gives each JSON type: exact, because a
+# boolean is an int; and never coerced, because int(), float() and bool()
+# would quietly turn 1.9, true and "1" into 1, and "false" into True.
+_INTEGER = (int,)
+_NUMBER = (int, float)
+_BOOLEAN = (bool,)
+
+
+def _expect(value, types: tuple[type, ...], what: str):
+    if type(value) not in types:
+        raise TypeError(f"{what} has the wrong JSON type: {value!r}")
+    return value
 
 
 def _parse_antennas(value) -> tuple[int, ...]:
@@ -547,7 +570,7 @@ def _parse_antennas(value) -> tuple[int, ...]:
         if value in ENVIRONMENTS:
             return ENVIRONMENTS[value]
         return tuple(int(part) for part in value.split("+"))
-    return tuple(int(v) for v in value)
+    return tuple(_expect(v, _INTEGER, "antenna id") for v in value)
 
 
 class ControlClient:

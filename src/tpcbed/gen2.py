@@ -78,7 +78,7 @@ class SlotOutcome:
     tag_ids: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RoundResult:
     """One inventory frame, recorded by its replies rather than slot by slot.
 

@@ -23,7 +23,7 @@ import socket
 import threading
 from dataclasses import dataclass
 
-from .gen2 import AccessResult, rounded_q, run_inventory_round
+from .gen2 import AccessResult, ReachableTag, rounded_q, run_inventory_round
 from .llrp import (
     AccessOp,
     AccessResultEntry,
@@ -226,6 +226,9 @@ class Reader:
             acc.clear()
 
         antenna_texts = [SORTED_JSON.encode(a) for a in antenna_ids]
+        # The reachable list of each quiet antenna, which neither needs
+        # harvesting nor a new list (see World.harvest_all).
+        quiet: dict[int, list[ReachableTag]] = {}
         turn = 0
         while clock.now_ms - started_ms < duration_ms:
             antenna_turn = turn % len(antenna_ids)
@@ -233,9 +236,14 @@ class Reader:
             turn += 1
             # The antenna's carrier powers every tag it can see for the
             # whole round, so charge before asking anyone to reply.
-            round_ms = (2 ** rounded_q(q_fp[antenna_id])) * slot_ms
-            world.harvest_all(antenna_id, round_ms)
-            reachable = world.reachable(antenna_id)
+            reachable = quiet.get(antenna_id)
+            if reachable is None:
+                round_ms = (2 ** rounded_q(q_fp[antenna_id])) * slot_ms
+                if world.harvest_all(antenna_id, round_ms):
+                    quiet.clear()
+                    reachable = world.reachable(antenna_id)
+                else:
+                    reachable = quiet[antenna_id] = world.reachable(antenna_id)
             start_ms = clock.now_ms
             result = run_inventory_round(
                 reachable,
@@ -364,12 +372,10 @@ class Reader:
         if sink is not None:
             target_hex = target_epc.hex()
             antennas_json = SORTED_JSON.encode(list(antennas))
-        # Within a call only harvesting changes a tag's energy (and, by a
-        # brownout, its mode), and only a delivered command changes its mode
-        # or behaviour.  So a harvest that stepped no tag leaves the bench
-        # as it was: its antenna stays quiet, and is not harvested again,
-        # until some other harvest steps a tag; and ``responsive`` is only
-        # read again after a harvest that stepped a tag or a dispatch.
+        # An antenna whose harvest stepped no tag stays quiet until some
+        # harvest steps one (see World.harvest_all); a delivered command
+        # changes no energy.  ``responsive`` is only read again after a
+        # harvest that stepped a tag or a dispatch.
         quiet: set[int] = set()
         responsive = tag is not None and tag.responsive
 

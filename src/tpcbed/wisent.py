@@ -112,6 +112,22 @@ class TransferPolicy:
         if self.antenna_tie_db < 0.0:
             raise ValueError("antenna_tie_db must be >= 0")
 
+    def bios_retries(self, slot_ms: float) -> int:
+        """Retries of the go-to-bios command: as many attempts as fit in
+        ``abort_timeout_ms``, less the first.
+
+        They travel as ``max_retries``, a u16 in the reader protocol, so
+        more than 65535 is refused here, for local and remote sessions
+        alike.
+        """
+        attempts = self.abort_timeout_ms / slot_ms
+        if not attempts <= 0x10000:
+            raise ValueError(
+                f"abort_timeout_ms {self.abort_timeout_ms:g} gives more than "
+                f"65536 go-to-bios attempts of {slot_ms:g} ms"
+            )
+        return max(1, math.ceil(attempts)) - 1
+
 
 OUTCOME_SUCCESS = "success"
 OUTCOME_ABORT_TIMEOUT = "abort-timeout"
@@ -335,6 +351,8 @@ def reprogram(
     """
     policy = policy or TransferPolicy()
     policy.validate()
+    slot_ms = reader_session.slot_duration_ms
+    bios_retries = policy.bios_retries(slot_ms)
     image = image.word_aligned()
 
     report = validate_regions(image, memory_map or MemoryMap())
@@ -343,7 +361,6 @@ def reprogram(
             tag_id, antennas or (), 0, 0, 0.0, OUTCOME_REGION_VIOLATION
         )
 
-    slot_ms = reader_session.slot_duration_ms
     sent = 0
     retried = 0
 
@@ -376,9 +393,8 @@ def reprogram(
 
     # Yank the application.  The budget is however many attempts fit in
     # the abort timeout.
-    bios_budget = max(1, math.ceil(policy.abort_timeout_ms / slot_ms))
     results = reader_session.execute_access(
-        [GotoBiosOp()], target_epc, antennas, max_retries=bios_budget - 1
+        [GotoBiosOp()], target_epc, antennas, max_retries=bios_retries
     )
     if not tally(results):
         return stats(OUTCOME_ABORT_TIMEOUT)

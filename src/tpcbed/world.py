@@ -61,14 +61,22 @@ class VirtualClock:
         return self.epoch + timedelta(milliseconds=self.now_ms)
 
     def iso(self) -> str:
-        # timedelta rounds the float milliseconds to whole microseconds
-        # exactly as epoch + timedelta does in utc().
-        offset = timedelta(milliseconds=self.now_ms)
-        day, us = divmod(
-            offset.seconds * 1_000_000 + offset.microseconds + self._epoch_us,
-            _US_PER_DAY,
-        )
-        day += offset.days
+        now_ms = self.now_ms
+        # int() raises on NaN and infinity, as timedelta does.
+        whole_ms = int(now_ms)
+        if whole_ms == now_ms:
+            # Whole milliseconds (every stamp with whole-ms slots) are
+            # whole microseconds; timedelta would only get there slower.
+            day, us = divmod(whole_ms * 1000 + self._epoch_us, _US_PER_DAY)
+        else:
+            # timedelta rounds the float milliseconds to whole microseconds
+            # exactly as epoch + timedelta does in utc().
+            offset = timedelta(milliseconds=now_ms)
+            day, us = divmod(
+                offset.seconds * 1_000_000 + offset.microseconds + self._epoch_us,
+                _US_PER_DAY,
+            )
+            day += offset.days
         if day != self._day:
             midnight = self.epoch.replace(hour=0, minute=0, second=0, microsecond=0)
             # strftime, not isoformat: %Y leaves years below 1000 unpadded
@@ -172,7 +180,17 @@ class World:
         ``harvest_step`` would leave every field as it was.  Returns
         whether any tag was stepped.  When none was, nothing changed, and
         the same call steps none until some tag's energy changes another
-        way.
+        way; whether a tag sits at a fixed point does not depend on
+        ``dt_ms``.
+
+        The reader's loops rest on this.  Within one reader call only
+        harvests change a tag's energy (and, by a brownout, its mode), and
+        only a delivered command changes its mode or behaviour; inventory
+        delivers none.  So once an antenna's harvest steps no tag, the
+        antenna stays quiet: harvesting it again, and rebuilding its
+        ``reachable`` list, can be skipped until some harvest steps a tag.
+        The state is kept per call, never on the World, because a write
+        to a tag's fields between calls would go unseen.
         """
         if dt_ms < 0.0:
             raise ValueError("dt_ms must be >= 0")

@@ -253,3 +253,89 @@ def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
         if not success:
             break
     return results, events
+
+
+def run_inventory_oracle(
+    reader, antenna_ids, duration_ms, report_trigger="end", report_interval_ms=0.0
+):
+    """Alternating inventory rounds, nothing carried from round to round.
+
+    This is the reader's original inventory loop, kept as the reference
+    the reader must match exactly: every round harvests on its antenna and
+    asks the World afresh who can answer it; reads come from the per-slot
+    view of each round.  Same batches, clock, RNG draws and tag state.
+    Returns (batches, events), each event as the dict the log line encodes.
+    """
+    from tpcbed.gen2 import rounded_q, run_inventory_round
+    from tpcbed.reader import TagObservation
+
+    world = reader.world
+    config = world.config.inventory
+    clock = world.clock
+    started_ms = last_report_ms = clock.now_ms
+    q_fp = {antenna_id: float(config.q_initial) for antenna_id in antenna_ids}
+    reads = {}  # (antenna, epc) -> [(seen_ms, tag_id, rssi_dbm), ...]
+    batches, events = [], []
+
+    def flush():
+        batch = []
+        for (antenna_id, epc), seen in sorted(reads.items()):
+            total = 0.0
+            for _, _, rssi in seen:
+                total += rssi
+            batch.append(
+                TagObservation(
+                    antenna_id=antenna_id,
+                    tag_id=seen[0][1],
+                    epc=epc,
+                    read_count=len(seen),
+                    mean_rssi_dbm=total / len(seen),
+                    last_rssi_dbm=seen[-1][2],
+                    first_seen_ms=seen[0][0],
+                    last_seen_ms=seen[-1][0],
+                )
+            )
+        batches.append(batch)
+        reads.clear()
+
+    rounds = 0
+    while clock.now_ms - started_ms < duration_ms:
+        antenna_id = antenna_ids[rounds % len(antenna_ids)]
+        rounds += 1
+        n_slots = 1 << rounded_q(q_fp[antenna_id])
+        world.harvest_all(antenna_id, n_slots * config.slot_duration_ms)
+        result = run_inventory_round(
+            world.reachable(antenna_id),
+            config,
+            world.rng,
+            q_fp=q_fp[antenna_id],
+            start_time_ms=clock.now_ms,
+        )
+        q_fp[antenna_id] = result.q_fp_after
+        outcomes = result.outcomes
+        singulated = [o for o in outcomes if o.tag_id is not None]
+        for outcome in singulated:
+            epc = world.tag(outcome.tag_id).epc
+            reads.setdefault((antenna_id, epc), []).append(
+                (outcome.timestamp_ms, outcome.tag_id, outcome.rssi_dbm)
+            )
+        clock.advance(len(outcomes) * config.slot_duration_ms)
+        events.append(
+            {
+                "event": "round",
+                "t": clock.iso(),
+                "antenna": antenna_id,
+                "slots": len(outcomes),
+                "singulated": len(singulated),
+                "collisions": sum(1 for o in outcomes if o.tag_ids),
+            }
+        )
+        if (
+            report_trigger == "periodic"
+            and clock.now_ms - last_report_ms >= report_interval_ms
+        ):
+            flush()
+            last_report_ms = clock.now_ms
+    if report_trigger == "end" or reads:
+        flush()
+    return batches, events

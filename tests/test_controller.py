@@ -15,6 +15,7 @@ from tpcbed.controller import (
     InventoryRow,
     LogWriteError,
     MAX_DURATION_S,
+    MAX_LINE_BYTES,
     SessionManager,
     TestbedBusy as BusyError,
     TestbedController as Controller,
@@ -423,6 +424,29 @@ class TestControlProtocol:
                 "firmware_text": SMALL_FIRMWARE,
                 "behavior": ["obeys_goto_bios"],
             },
+            # No field is coerced: int(), float() and bool() would have
+            # taken each of these for a valid value.
+            {"cmd": "reprogram", "tags": [1.9], "firmware_text": SMALL_FIRMWARE},
+            {"cmd": "reprogram", "tags": [True], "firmware_text": SMALL_FIRMWARE},
+            {"cmd": "reprogram", "tags": ["1"], "firmware_text": SMALL_FIRMWARE},
+            {"cmd": "reprogram", "tags": "12", "firmware_text": SMALL_FIRMWARE},
+            {"cmd": "inventory", "antennas": [True, 2], "duration_s": 1.0},
+            {"cmd": "inventory", "antennas": [2.0], "duration_s": 1.0},
+            {"cmd": "inventory", "antennas": ["2"], "duration_s": 1.0},
+            {"cmd": "inventory", "antennas": [2], "duration_s": True},
+            {"cmd": "inventory", "antennas": [2], "duration_s": "1"},
+            {
+                "cmd": "reprogram",
+                "tags": [1],
+                "firmware_text": SMALL_FIRMWARE,
+                "behavior": {"obeys_goto_bios": "false"},
+            },
+            {
+                "cmd": "reprogram",
+                "tags": [1],
+                "firmware_text": SMALL_FIRMWARE,
+                "behavior": {"responds_to_inventory": 1},
+            },
         ],
         ids=[
             "unknown-antenna",
@@ -439,6 +463,17 @@ class TestControlProtocol:
             "overflowing-duration",
             "int-tags",
             "list-behavior",
+            "fractional-tag",
+            "boolean-tag",
+            "string-tag",
+            "string-tags",
+            "boolean-antenna",
+            "float-antenna",
+            "string-antenna",
+            "boolean-duration",
+            "string-duration",
+            "string-behavior-flag",
+            "integer-behavior-flag",
         ],
     )
     def test_rejected_request_keeps_connection_and_lease(
@@ -453,6 +488,53 @@ class TestControlProtocol:
             reply = client.call({**request_fields, "token": token})
             assert reply["ok"] is False and reply["error"] == "bad-request"
             assert client.release(token) == {"ok": True}
+
+    def test_whole_number_fields_keep_working(self, server):
+        # JSON integers are numbers too, and the string antenna forms are
+        # parsed, not coerced.
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            as_int = client.inventory(token, "2+3", 3, seed=4)
+            as_float = client.inventory(token, [2, 3], 3.0, seed=4)
+            assert as_int["ok"] and as_int == as_float
+            reply = client.reprogram(
+                token, [1], SMALL_FIRMWARE, {"obeys_goto_bios": False}
+            )
+            assert reply["rows"][0]["outcome"] == "success"
+
+    def test_request_line_at_the_cap_is_served(self, server):
+        import socket as socketlib
+
+        request = json.dumps({"cmd": "status"}).encode()
+        line = request + b" " * (MAX_LINE_BYTES - len(request) - 1) + b"\n"
+        assert len(line) == MAX_LINE_BYTES
+        address = (server.host, server.port)
+        with socketlib.create_connection(address, timeout=10.0) as raw:
+            with raw.makefile("rwb") as stream:
+                stream.write(line)
+                stream.flush()
+                assert json.loads(stream.readline())["ok"] is True
+                stream.write(request + b"\n")
+                stream.flush()
+                assert json.loads(stream.readline())["ok"] is True
+
+    def test_request_line_over_the_cap_is_refused_then_closed(self, server):
+        import socket as socketlib
+
+        request = json.dumps({"cmd": "status"}).encode()
+        line = request + b" " * (MAX_LINE_BYTES - len(request)) + b"\n"
+        assert len(line) == MAX_LINE_BYTES + 1
+        address = (server.host, server.port)
+        with socketlib.create_connection(address, timeout=10.0) as raw:
+            with raw.makefile("rwb") as stream:
+                stream.write(line)
+                stream.flush()
+                reply = json.loads(stream.readline())
+                assert reply["ok"] is False and reply["error"] == "bad-request"
+                assert stream.readline() == b""  # closed, nothing more
+        # the server itself carries on
+        with ControlClient(server.host, server.port) as client:
+            assert client.status()["ok"]
 
     def test_malformed_json_line(self, server):
         import socket as socketlib

@@ -1,5 +1,6 @@
 """Reader behavior: inventory scheduling, access retries, and the TCP path."""
 
+import itertools
 import json
 import math
 import socket
@@ -8,9 +9,10 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import execute_access_oracle
+from oracles import execute_access_oracle, run_inventory_oracle
+import tpcbed.reader as reader_module
 from tpcbed.config import TagProfile, default_config
 from tpcbed.llrp import (
     AddAccessSpec,
@@ -56,7 +58,7 @@ from tpcbed.tag import (
     default_epc,
     ones_complement_sum16,
 )
-from tpcbed.wisent import choose_antennas
+from tpcbed.wisent import TransferPolicy, choose_antennas, parse_ti_txt, reprogram
 from tpcbed.world import World
 
 
@@ -596,6 +598,249 @@ class TestExecuteAccessMatchesReference:
         assert results == expected
         assert [r.success for r in results] == [True, False]
         assert results[1].attempts == 6
+
+
+@st.composite
+def inventory_calls(draw):
+    # Orders with repeats, such as (2, 3, 3), let an antenna go quiet and
+    # another then step the tags it sees.
+    antennas = tuple(
+        draw(st.lists(st.sampled_from((1, 2, 3)), min_size=1, max_size=4))
+    )
+    duration_ms = draw(
+        st.one_of(st.just(0.0), st.floats(min_value=1_000.0, max_value=20_000.0))
+    )
+    trigger, interval_ms = draw(
+        st.one_of(
+            st.just(("end", 0.0)),
+            st.tuples(
+                st.just("periodic"), st.floats(min_value=75.0, max_value=5_000.0)
+            ),
+        )
+    )
+    # a write to one tag's fields before the call, as a caller or a
+    # reprogram between two surveys would make
+    write = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(TAG_IDS),
+                st.sampled_from(["empty", "full", "bios", "deaf", "hearing"]),
+            ),
+        )
+    )
+    return antennas, duration_ms, trigger, interval_ms, write
+
+
+def write_tag(tag, what):
+    if what == "empty":
+        tag.energy_uj = 0.0
+    elif what == "full":
+        tag.energy_uj = tag.energy_params.capacity_uj
+    elif what == "bios":
+        tag.mode = TagMode.BIOS
+    else:
+        tag.behavior = ApplicationBehavior(responds_to_inventory=what == "hearing")
+
+
+class TestRunInventoryMatchesReference:
+    """The reader's inventory loop skips the harvest and the reachable list
+    of a quiet antenna; the reference loop does neither, and both must
+    agree on everything they leave behind."""
+
+    # Antenna 2 fills every rail tag and goes quiet on its second turn;
+    # antenna 3 then drains tag 0, so antenna 2 must harvest again.
+    @example(
+        seed=79,
+        capacity_uj=55.0,
+        efficiency=0.01,
+        threshold_dbm=-5.0,
+        idle_draw_mw=0.01,
+        operate_min_uj=1.0,
+        start=[(0.0, False, True)] * len(TAG_IDS),
+        calls=[((2, 2, 3), 10_000.0, "end", 0.0, None)],
+    )
+    # Antenna 2 goes quiet in the first call; the second must see that
+    # tag 1 was emptied in between.
+    @example(
+        seed=0,
+        capacity_uj=50.0,
+        efficiency=0.3,
+        threshold_dbm=-10.0,
+        idle_draw_mw=0.01,
+        operate_min_uj=1.0,
+        start=[(0.0, False, True)] * len(TAG_IDS),
+        calls=[
+            ((2,), 10_000.0, "end", 0.0, None),
+            ((2,), 5_000.0, "end", 0.0, (1, "empty")),
+        ],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        # small stores, weak harvesting and large idle draws make tags
+        # charge over several rounds on one antenna, drain on another and
+        # brown out within a run; thresholds span the bench's incident
+        # powers (the RSSI floor to about +19 dBm)
+        capacity_uj=st.floats(min_value=0.5, max_value=60.0),
+        efficiency=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-4.0, max_value=-0.5).map(lambda e: 10.0**e),
+        ),
+        threshold_dbm=st.floats(min_value=-40.0, max_value=25.0),
+        idle_draw_mw=st.floats(min_value=0.0, max_value=0.5),
+        operate_min_uj=st.floats(min_value=0.0, max_value=5.0),
+        start=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.booleans(),  # in bios
+                st.booleans(),  # answers inventory
+            ),
+            min_size=len(TAG_IDS),
+            max_size=len(TAG_IDS),
+        ),
+        calls=st.lists(inventory_calls(), min_size=1, max_size=3),
+    )
+    def test_same_batches_lines_clock_draws_and_tags(
+        self,
+        seed,
+        capacity_uj,
+        efficiency,
+        threshold_dbm,
+        idle_draw_mw,
+        operate_min_uj,
+        start,
+        calls,
+    ):
+        energy = EnergyParams(
+            capacity_uj=capacity_uj,
+            harvest_efficiency=efficiency,
+            harvest_threshold_dbm=threshold_dbm,
+            idle_draw_mw=idle_draw_mw,
+            operate_min_uj=operate_min_uj,
+        )
+        config = replace(default_config(), energy=energy)
+        lines = []
+        fast = make_reader(seed, config, event_sink=lines.append)
+        reference = make_reader(seed, config)
+        for world in (fast.world, reference.world):
+            for tag_id, (share, bios, answers) in zip(TAG_IDS, start):
+                tag = world.tags[tag_id]
+                # full stores and empty ones sit at fixed points
+                if share < 0.2:
+                    tag.energy_uj = 0.0
+                elif share > 0.8:
+                    tag.energy_uj = capacity_uj
+                else:
+                    tag.energy_uj = share * capacity_uj
+                tag.mode = TagMode.BIOS if bios else TagMode.APPLICATION
+                tag.behavior = ApplicationBehavior(responds_to_inventory=answers)
+
+        expected_events = []
+        for antennas, duration_ms, trigger, interval_ms, write in calls:
+            if write is not None:
+                for world in (fast.world, reference.world):
+                    write_tag(world.tags[write[0]], write[1])
+            batches = fast.run_inventory(antennas, duration_ms, trigger, interval_ms)
+            expected, events = run_inventory_oracle(
+                reference, antennas, duration_ms, trigger, interval_ms
+            )
+            expected_events.extend(events)
+            assert batches == expected
+            assert fast.world.clock.now_ms == reference.world.clock.now_ms
+            assert fast.world.rng.getstate() == reference.world.rng.getstate()
+            assert bench_state(fast.world) == bench_state(reference.world)
+        assert lines == [json.dumps(e, sort_keys=True) for e in expected_events]
+
+
+class TestChargingClosedForm:
+    def test_cold_tag_answers_from_the_round_its_charge_time_is_reached(
+        self, monkeypatch
+    ):
+        # harvest_step is linear in incident mW, so a cold tag on one
+        # antenna is powered once the rounds harvested so far add up to
+        # operate_min_uj / (harvest_efficiency * 10^(P/10)) ms.  A weak
+        # harvester takes about 2.3 s, many rounds, on the desk antenna.
+        energy = EnergyParams(harvest_efficiency=5e-6)
+        config = replace(default_config(), energy=energy)
+        lines = []
+        reader = make_reader(seed=9, config=config, event_sink=lines.append)
+        world = reader.world
+        incident_dbm = world.links[(1, 6)].incident_power_dbm
+        charge_ms = energy.operate_min_uj / (
+            energy.harvest_efficiency * 10.0 ** (incident_dbm / 10.0)
+        )
+
+        reachable_ids = []
+        traced = reader_module.run_inventory_round
+
+        def recording_round(reachable_tags, *args, **kwargs):
+            reachable_ids.append([t.tag_id for t in reachable_tags])
+            return traced(reachable_tags, *args, **kwargs)
+
+        monkeypatch.setattr(reader_module, "run_inventory_round", recording_round)
+        rows = reader.run_inventory((1,), 5_000.0)[0]
+
+        # Each round harvests for its own length before it runs.
+        slot_ms = reader.slot_duration_ms
+        round_ms = [json.loads(line)["slots"] * slot_ms for line in lines]
+        harvested_ms = list(itertools.accumulate(round_ms))
+        # the closed form is not within rounding of a round boundary
+        assert all(abs(h - charge_ms) > 1e-6 * charge_ms for h in harvested_ms)
+        first = next(i for i, h in enumerate(harvested_ms) if h >= charge_ms)
+        assert 5 <= first < len(round_ms) - 5
+
+        assert len(reachable_ids) == len(round_ms)
+        assert all(ids == [] for ids in reachable_ids[:first])
+        assert all(ids == [6] for ids in reachable_ids[first:])
+        [row] = rows
+        assert row.tag_id == 6
+        assert row.first_seen_ms >= sum(round_ms[:first])
+
+
+class TestGotoBiosBudgetFitsTheWire:
+    """``abort_timeout_ms`` sets the go-to-bios retries, which the reader
+    protocol carries as a u16: local and remote sessions refuse the same
+    budgets, before any frame."""
+
+    image = parse_ti_txt("@4400\n01 02 03 04\nq\n")
+    # 66,667 attempts of 75 ms
+    too_long = TransferPolicy(abort_timeout_ms=5e6)
+
+    def test_local_session_refuses_before_the_first_frame(self):
+        reader = make_reader(seed=3)
+        with pytest.raises(ValueError, match="abort_timeout_ms"):
+            reprogram(default_epc(1), self.image, reader, self.too_long, tag_id=1)
+        assert reader.world.clock.now_ms == 0.0
+
+    def test_remote_session_refuses_the_same_budget(self):
+        reader = make_reader(seed=3)
+        with ReaderServer(reader) as server:
+            with ReaderClient(server.host, server.port) as client:
+                session = RemoteReaderSession(client, reader.slot_duration_ms)
+                with pytest.raises(ValueError, match="abort_timeout_ms"):
+                    reprogram(
+                        default_epc(1), self.image, session, self.too_long, tag_id=1
+                    )
+        assert reader.world.clock.now_ms == 0.0
+
+    def test_largest_budget_is_65535_retries(self):
+        slot_ms = 75.0
+        largest = TransferPolicy(abort_timeout_ms=65_536 * slot_ms)
+        assert largest.bios_retries(slot_ms) == 0xFFFF
+        encode(AddAccessSpec(1, 1, bytes(12), (2,), 0xFFFF, (GotoBiosOp(),)))
+        with pytest.raises(ValueError, match="abort_timeout_ms"):
+            replace(largest, abort_timeout_ms=65_536 * slot_ms + 1).bios_retries(
+                slot_ms
+            )
+
+    def test_config_validation_uses_the_same_check(self):
+        config = replace(default_config(), transfer=self.too_long)
+        with pytest.raises(ValueError, match="abort_timeout_ms"):
+            config.validate()
+        # 100 ms slots: 50,000 attempts fit
+        slower = replace(config.inventory, slot_duration_ms=100.0)
+        replace(config, inventory=slower).validate()
 
 
 class TestWireConversions:

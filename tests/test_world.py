@@ -230,3 +230,26 @@ def test_iso_matches_strftime_rendering(epoch, offsets):
     for now_ms in offsets:
         clock.now_ms = now_ms
         assert clock.iso() == iso_reference(epoch, now_ms)
+
+
+@pytest.mark.parametrize(
+    "now_ms, error",
+    [(float("nan"), ValueError), (float("inf"), OverflowError), (1e300, OverflowError)],
+)
+def test_iso_refuses_offsets_timedelta_refuses(now_ms, error):
+    clock = VirtualClock(epoch=ControllerSettings().epoch_datetime())
+    with pytest.raises(error):
+        timedelta(milliseconds=now_ms)
+    clock.now_ms = now_ms
+    with pytest.raises(error):
+        clock.iso()
+
+
+@settings(max_examples=200, deadline=None)
+@given(whole_ms=st.integers(min_value=0, max_value=250_000_000_000_000))
+def test_whole_millisecond_offsets_match_strftime_up_to_year_9999(whole_ms):
+    # iso() renders these without timedelta
+    epoch = ControllerSettings().epoch_datetime()
+    clock = VirtualClock(epoch=epoch)
+    clock.now_ms = float(whole_ms)
+    assert clock.iso() == iso_reference(epoch, float(whole_ms))
