@@ -453,7 +453,7 @@ class ControlServer(TcpServer):
         cmd = request.get("cmd")
         try:
             if cmd == "acquire":
-                user = str(request.get("user", "anonymous"))
+                user = _string(request, "user", "anonymous")
                 session = self.sessions.acquire(user)
                 return {
                     "ok": True,
@@ -461,7 +461,7 @@ class ControlServer(TcpServer):
                     "expires_in_s": self.config.controller.lease_timeout_s,
                 }
             if cmd == "release":
-                self.sessions.release(str(request.get("token", "")))
+                self.sessions.release(_string(request, "token", ""))
                 return {"ok": True}
             if cmd == "status":
                 holder = self.sessions.holder()
@@ -473,7 +473,7 @@ class ControlServer(TcpServer):
                     "antennas": list(self.config.geometry.antenna_ids()),
                 }
             if cmd == "inventory":
-                self.sessions.validate(str(request.get("token", "")))
+                self.sessions.validate(_string(request, "token", ""))
                 antennas = _parse_antennas(request.get("antennas"))
                 duration_s = request.get("duration_s", 30.0)
                 rows = self.controller.run_inventory_experiment(
@@ -495,8 +495,8 @@ class ControlServer(TcpServer):
                     ],
                 }
             if cmd == "reprogram":
-                self.sessions.validate(str(request.get("token", "")))
-                image = parse_ti_txt(str(request.get("firmware_text", "")))
+                self.sessions.validate(_string(request, "token", ""))
+                image = parse_ti_txt(_string(request, "firmware_text", ""))
                 behavior = request.get("behavior", {})
                 if behavior:
                     image = dataclasses.replace(
@@ -555,12 +555,17 @@ class ControlServer(TcpServer):
 _INTEGER = (int,)
 _NUMBER = (int, float)
 _BOOLEAN = (bool,)
+_STRING = (str,)
 
 
 def _expect(value, types: tuple[type, ...], what: str):
     if type(value) not in types:
         raise TypeError(f"{what} has the wrong JSON type: {value!r}")
     return value
+
+
+def _string(request: dict, field: str, default: str) -> str:
+    return _expect(request.get(field, default), _STRING, field)
 
 
 def _parse_antennas(value) -> tuple[int, ...]:

@@ -129,7 +129,7 @@ class RoundResult:
         return tuple(o for o in self.outcomes if o.kind is SlotKind.SINGULATED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessResult:
     """Outcome of one retried access operation against one tag."""
 

@@ -22,8 +22,11 @@ codec here and the golden fixtures in the test suite follow it.
 from __future__ import annotations
 
 import enum
+import functools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+
+from .gen2 import AccessResult
 
 PROTOCOL_VERSION = 1
 HEADER_LEN = 11
@@ -88,13 +91,27 @@ class OpKind(enum.IntEnum):
     COMMIT = 4
 
 
+#: Each op kind's name, as access results and event lines carry it.
+OP_KIND_NAMES = {
+    OpKind.READ: "read",
+    OpKind.BLOCK_WRITE: "block-write",
+    OpKind.GOTO_BIOS: "goto-bios",
+    OpKind.CHECKSUM: "checksum",
+    OpKind.COMMIT: "commit",
+}
+_OP_CODES = {name: int(kind) for kind, name in OP_KIND_NAMES.items()}
+# The codes as plain ints for the codec's per-op loops, where reading an
+# enum member costs several times the comparison it feeds.
+_READ, _BLOCK_WRITE, _GOTO_BIOS, _CHECKSUM, _COMMIT = (int(k) for k in OpKind)
+
+
 @dataclass(frozen=True)
 class ReadOp:
     start_address: int
     word_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockWriteOp:
     start_address: int
     words: tuple[int, ...]
@@ -182,20 +199,10 @@ class TagReportEntry:
 
 
 @dataclass(frozen=True)
-class AccessResultEntry:
-    op_kind: int
-    epc: bytes
-    success: bool
-    attempts: int
-    data: tuple[int, ...] = ()
-    detail: str = ""  # tag nack reason, empty when none
-
-
-@dataclass(frozen=True)
 class ROAccessReport:
     msg_id: int
     tag_reports: tuple[TagReportEntry, ...] = ()
-    access_results: tuple[AccessResultEntry, ...] = ()
+    access_results: tuple[AccessResult, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -249,7 +256,16 @@ _OP_HEAD = struct.Struct(">BHH")  # kind, address, word count or byte length
 _COMMIT_HEAD = struct.Struct(">BBH")  # kind, flags, segment count
 _SEGMENT = struct.Struct(">HHH")  # start, byte length, checksum
 _TAG_REPORT = struct.Struct(">12sBIiiQQ")
-_ACCESS_RESULT = struct.Struct(">B12sBIH")  # kind, epc, success, attempts, words
+_RESULT_HEAD = struct.Struct(">B12sBIH")  # kind, epc, success, attempts, words
+# The head and the detail length that follows it when there are no words:
+# the whole of a result with neither words nor detail.
+_BARE_RESULT = struct.Struct(">B12sBIHH")
+
+
+@functools.lru_cache(maxsize=64)
+def _words(count: int) -> struct.Struct:
+    """The layout of ``count`` u16 words."""
+    return struct.Struct(f">{count}H")
 
 
 def _pack_str(text: str) -> bytes:
@@ -274,20 +290,19 @@ def _pack_antennas(ids: tuple[int, ...]) -> bytes:
 def _pack_op(op: AccessOp, out: list[bytes]) -> None:
     if isinstance(op, BlockWriteOp):
         n = len(op.words)
-        out.append(
-            struct.pack(f">BHH{n}H", OpKind.BLOCK_WRITE, op.start_address, n, *op.words)
-        )
+        out.append(_OP_HEAD.pack(_BLOCK_WRITE, op.start_address, n))
+        out.append(_words(n).pack(*op.words))
     elif isinstance(op, ReadOp):
-        out.append(_OP_HEAD.pack(OpKind.READ, op.start_address, op.word_count))
+        out.append(_OP_HEAD.pack(_READ, op.start_address, op.word_count))
     elif isinstance(op, GotoBiosOp):
-        out.append(_U8.pack(OpKind.GOTO_BIOS))
+        out.append(_U8.pack(_GOTO_BIOS))
     elif isinstance(op, ChecksumOp):
-        out.append(_OP_HEAD.pack(OpKind.CHECKSUM, op.start_address, op.byte_length))
+        out.append(_OP_HEAD.pack(_CHECKSUM, op.start_address, op.byte_length))
     elif isinstance(op, CommitOp):
         flags = (1 if op.obeys_goto_bios else 0) | (
             2 if op.responds_to_inventory else 0
         )
-        out.append(_COMMIT_HEAD.pack(OpKind.COMMIT, flags, len(op.segments)))
+        out.append(_COMMIT_HEAD.pack(_COMMIT, flags, len(op.segments)))
         for start, length, checksum in op.segments:
             out.append(_SEGMENT.pack(start, length, checksum))
     else:
@@ -344,17 +359,19 @@ def _pack_payload(msg: Message, out: list[bytes]) -> MsgType:
             )
         out.append(_U16.pack(len(msg.access_results)))
         for result in msg.access_results:
-            out.append(
-                _ACCESS_RESULT.pack(
-                    result.op_kind,
-                    _pack_epc(result.epc),
-                    1 if result.success else 0,
-                    result.attempts,
-                    len(result.data),
-                )
-            )
-            out.append(struct.pack(f">{len(result.data)}H", *result.data))
-            out.append(_pack_str(result.detail))
+            code = _OP_CODES.get(result.kind)
+            if code is None:
+                raise EncodeError(f"unknown access op kind {result.kind!r}")
+            epc = _pack_epc(result.target_epc)
+            success = 1 if result.success else 0
+            attempts = result.attempts
+            data = result.data
+            if not data and not result.detail:
+                out.append(_BARE_RESULT.pack(code, epc, success, attempts, 0, 0))
+                continue
+            out.append(_RESULT_HEAD.pack(code, epc, success, attempts, len(data)))
+            out.append(_words(len(data)).pack(*data))
+            out.append(_pack_str(result.detail or ""))  # None travels as ""
         return MsgType.RO_ACCESS_REPORT
     if isinstance(msg, Keepalive):
         return MsgType.KEEPALIVE
@@ -414,7 +431,8 @@ def _truncated() -> DecodeError:
 
 class _Cursor:
     """Forward-only reader over one frame's payload, which runs from
-    ``pos`` to the end of ``data``; a shortfall raises MALFORMED_PAYLOAD."""
+    ``pos`` to the end of ``data``; ``decode`` turns a read past the end
+    or bad UTF-8 into MALFORMED_PAYLOAD."""
 
     __slots__ = ("data", "pos")
 
@@ -423,12 +441,8 @@ class _Cursor:
         self.pos = pos
 
     def read(self, layout: struct.Struct) -> tuple:
-        pos = self.pos
-        try:
-            fields = layout.unpack_from(self.data, pos)
-        except struct.error:
-            raise _truncated() from None
-        self.pos = pos + layout.size
+        fields = layout.unpack_from(self.data, self.pos)
+        self.pos += layout.size
         return fields
 
     def take(self, n: int) -> bytes:
@@ -439,32 +453,18 @@ class _Cursor:
         self.pos = end
         return out
 
-    def u8(self) -> int:
-        return self.read(_U8)[0]
-
     def u16(self) -> int:
         return self.read(_U16)[0]
 
     def u32(self) -> int:
         return self.read(_U32)[0]
 
-    def words(self, n: int) -> tuple[int, ...]:
-        pos = self.pos
-        end = pos + 2 * n
-        if end > len(self.data):
-            raise _truncated()
-        self.pos = end
-        return struct.unpack_from(f">{n}H", self.data, pos)
-
     def text(self) -> str:
-        raw = self.take(self.u16())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, "bad utf-8") from None
+        return self.take(self.u16()).decode("utf-8")
 
     def antennas(self) -> tuple[int, ...]:
-        return tuple(self.take(self.u8()))
+        (count,) = self.read(_U8)
+        return tuple(self.take(count))
 
     def finish(self) -> None:
         if self.pos != len(self.data):
@@ -474,22 +474,75 @@ class _Cursor:
             )
 
 
-def _parse_op(cur: _Cursor) -> AccessOp:
-    kind = cur.u8()
-    if kind == OpKind.BLOCK_WRITE:
-        start, count = cur.read(_U16_PAIR)
-        return BlockWriteOp(start, cur.words(count))
-    if kind == OpKind.READ:
-        return ReadOp(*cur.read(_U16_PAIR))
-    if kind == OpKind.GOTO_BIOS:
-        return GotoBiosOp()
-    if kind == OpKind.CHECKSUM:
-        return ChecksumOp(*cur.read(_U16_PAIR))
-    if kind == OpKind.COMMIT:
-        flags = cur.u8()
-        segments = tuple(cur.read(_SEGMENT) for _ in range(cur.u16()))
-        return CommitOp(segments, bool(flags & 1), bool(flags & 2))
-    raise DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {kind}")
+# The two loops below run once per access op or result, so they read with
+# precompiled layouts at a local offset rather than through the cursor.
+
+
+def _parse_ops(data: bytes, pos: int, count: int) -> tuple[tuple[AccessOp, ...], int]:
+    """``count`` access ops from ``pos`` on, and the offset after them."""
+    ops: list[AccessOp] = []
+    append = ops.append
+    pair = _U16_PAIR.unpack_from
+    for _ in range(count):
+        kind = data[pos]
+        if kind == _BLOCK_WRITE:
+            start, n = pair(data, pos + 1)
+            append(BlockWriteOp(start, _words(n).unpack_from(data, pos + 5)))
+            pos += 5 + 2 * n
+        elif kind == _READ:
+            append(ReadOp(*pair(data, pos + 1)))
+            pos += 5
+        elif kind == _GOTO_BIOS:
+            append(GotoBiosOp())
+            pos += 1
+        elif kind == _CHECKSUM:
+            append(ChecksumOp(*pair(data, pos + 1)))
+            pos += 5
+        elif kind == _COMMIT:
+            _, flags, n = _COMMIT_HEAD.unpack_from(data, pos)
+            pos += _COMMIT_HEAD.size
+            segments = tuple(
+                _SEGMENT.unpack_from(data, pos + 6 * i) for i in range(n)
+            )
+            pos += 6 * n
+            append(CommitOp(segments, bool(flags & 1), bool(flags & 2)))
+        else:
+            raise DecodeError(
+                DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {kind}"
+            )
+    return tuple(ops), pos
+
+
+def _parse_results(
+    data: bytes, pos: int, count: int
+) -> tuple[tuple[AccessResult, ...], int]:
+    """``count`` access results from ``pos`` on, and the offset after them."""
+    results: list[AccessResult] = []
+    append = results.append
+    for _ in range(count):
+        # Read as a bare result first: one with words has its first word
+        # where a bare one has its detail length.
+        code, epc, success, attempts, n, size = _BARE_RESULT.unpack_from(data, pos)
+        kind = OP_KIND_NAMES.get(code)
+        if kind is None:
+            raise DecodeError(
+                DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {code}"
+            )
+        pos += _RESULT_HEAD.size
+        words = ()
+        if n:
+            words = _words(n).unpack_from(data, pos)
+            (size,) = _U16.unpack_from(data, pos + 2 * n)
+            pos += 2 * n
+        pos += 2  # the detail length
+        detail = None
+        if size:
+            if pos + size > len(data):
+                raise _truncated()
+            detail = data[pos : pos + size].decode("utf-8")
+            pos += size
+        append(AccessResult(kind, epc, success != 0, attempts, detail, words))
+    return tuple(results), pos
 
 
 def _parse_payload(msg_type: int, msg_id: int, cur: _Cursor) -> Message:
@@ -518,7 +571,7 @@ def _parse_payload(msg_type: int, msg_id: int, cur: _Cursor) -> Message:
         epc = cur.take(EPC_LEN)
         antenna_ids = cur.antennas()
         max_retries, op_count = cur.read(_U16_PAIR)
-        ops = tuple(_parse_op(cur) for _ in range(op_count))
+        ops, cur.pos = _parse_ops(cur.data, cur.pos, op_count)
         return AddAccessSpec(msg_id, spec_id, epc, antenna_ids, max_retries, ops)
     if msg_type == MsgType.START_ROSPEC:
         return StartROSpec(msg_id, cur.u32())
@@ -528,16 +581,9 @@ def _parse_payload(msg_type: int, msg_id: int, cur: _Cursor) -> Message:
         tag_reports = tuple(
             TagReportEntry(*cur.read(_TAG_REPORT)) for _ in range(cur.u16())
         )
-        access_results = []
-        for _ in range(cur.u16()):
-            op_kind, epc, success, attempts, word_count = cur.read(_ACCESS_RESULT)
-            data = cur.words(word_count)
-            access_results.append(
-                AccessResultEntry(
-                    op_kind, epc, success != 0, attempts, data, cur.text()
-                )
-            )
-        return ROAccessReport(msg_id, tag_reports, tuple(access_results))
+        result_count = cur.u16()
+        access_results, cur.pos = _parse_results(cur.data, cur.pos, result_count)
+        return ROAccessReport(msg_id, tag_reports, access_results)
     if msg_type == MsgType.KEEPALIVE:
         return Keepalive(msg_id)
     if msg_type == MsgType.KEEPALIVE_ACK:
@@ -580,7 +626,12 @@ def decode(data: bytes) -> Message:
     if msg_type not in MsgType._value2member_map_:
         raise DecodeError(DecodeErrorKind.UNKNOWN_TYPE, f"message type {msg_type}")
     cur = _Cursor(data, HEADER_LEN)
-    msg = _parse_payload(msg_type, msg_id, cur)
+    try:
+        msg = _parse_payload(msg_type, msg_id, cur)
+    except (struct.error, IndexError):  # a read past the end of the payload
+        raise _truncated() from None
+    except UnicodeDecodeError:
+        raise DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, "bad utf-8") from None
     cur.finish()
     return msg
 

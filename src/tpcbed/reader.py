@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .gen2 import AccessResult, ReachableTag, rounded_q, run_inventory_round
 from .llrp import (
     AccessOp,
-    AccessResultEntry,
     AddAccessSpec,
     AddROSpec,
     BlockWriteOp,
@@ -42,6 +41,7 @@ from .llrp import (
     Keepalive,
     KeepaliveAck,
     Message,
+    OP_KIND_NAMES,
     OpKind,
     ROAccessReport,
     ReadOp,
@@ -68,15 +68,6 @@ READER_MODEL = "tpcbed-sim"
 #: One encoder for every event-log line and control reply;
 #: json.dumps(..., sort_keys=True) builds a fresh one per call.
 SORTED_JSON = json.JSONEncoder(sort_keys=True)
-
-OP_KIND_NAMES = {
-    OpKind.READ: "read",
-    OpKind.BLOCK_WRITE: "block-write",
-    OpKind.GOTO_BIOS: "goto-bios",
-    OpKind.CHECKSUM: "checksum",
-    OpKind.COMMIT: "commit",
-}
-_OP_KIND_BY_NAME = {name: kind for kind, name in OP_KIND_NAMES.items()}
 
 
 def op_kind_of(op: AccessOp) -> OpKind:
@@ -410,15 +401,9 @@ class Reader:
                 data = tuple(ack.data)
                 break
 
-            result = AccessResult(
-                kind=kind,
-                target_epc=target_epc,
-                success=success,
-                attempts=attempts,
-                detail=detail,
-                data=data,
+            results.append(
+                AccessResult(kind, target_epc, success, attempts, detail, data)
             )
-            results.append(result)
             if sink is not None:
                 sink(
                     access_line(
@@ -493,28 +478,6 @@ def entry_to_observation(entry: TagReportEntry, tag_id: int = -1) -> TagObservat
         last_rssi_dbm=entry.last_rssi_mdbm / 1000.0,
         first_seen_ms=float(entry.first_seen_ms),
         last_seen_ms=float(entry.last_seen_ms),
-    )
-
-
-def result_to_entry(result: AccessResult) -> AccessResultEntry:
-    return AccessResultEntry(
-        op_kind=int(_OP_KIND_BY_NAME[result.kind]),
-        epc=result.target_epc,
-        success=result.success,
-        attempts=result.attempts,
-        data=result.data,
-        detail=result.detail or "",
-    )
-
-
-def entry_to_result(entry: AccessResultEntry) -> AccessResult:
-    return AccessResult(
-        kind=OP_KIND_NAMES[OpKind(entry.op_kind)],
-        target_epc=entry.epc,
-        success=entry.success,
-        attempts=entry.attempts,
-        detail=entry.detail or None,
-        data=entry.data,
     )
 
 
@@ -695,16 +658,8 @@ class ReaderServer(TcpServer):
                 replies.append(SuccessMessage(mid))
                 return replies
             if msg.rospec_id in reader.accessspecs:
-                results = reader.run_accessspec(msg.rospec_id)
-                return [
-                    ROAccessReport(
-                        mid,
-                        access_results=tuple(
-                            result_to_entry(r) for r in results
-                        ),
-                    ),
-                    SuccessMessage(mid),
-                ]
+                results = tuple(reader.run_accessspec(msg.rospec_id))
+                return [ROAccessReport(mid, (), results), SuccessMessage(mid)]
             return [
                 ErrorMessage(
                     mid, int(ErrorCode.UNKNOWN_ROSPEC), f"no spec {msg.rospec_id}"
@@ -846,10 +801,7 @@ class ReaderClient:
             )
         )
         reports, _ = self.request(StartROSpec(self._take_id(), spec_id))
-        results: list[AccessResult] = []
-        for report in reports:
-            results.extend(entry_to_result(e) for e in report.access_results)
-        return results
+        return [result for report in reports for result in report.access_results]
 
 
 class RemoteReaderSession:
@@ -863,13 +815,5 @@ class RemoteReaderSession:
     def __init__(self, client: ReaderClient, slot_duration_ms: float):
         self.client = client
         self.slot_duration_ms = slot_duration_ms
-
-    def execute_access(
-        self,
-        ops,
-        target_epc: bytes,
-        antennas: tuple[int, ...] | None = None,
-        max_retries: int = 16,
-    ) -> list[AccessResult]:
-        return self.client.execute_access(ops, target_epc, antennas, max_retries)
+        self.execute_access = client.execute_access
 

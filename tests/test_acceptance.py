@@ -24,9 +24,15 @@ from tpcbed.controller import (
     format_inventory_csv,
     format_reprogram_csv,
 )
-from tpcbed.gen2 import InventoryConfig, ReachableTag, SlotKind, run_inventory_round
+from tpcbed.gen2 import (
+    AccessResult,
+    InventoryConfig,
+    ReachableTag,
+    SlotKind,
+    run_inventory_round,
+)
 from tpcbed.llrp import (
-    AccessResultEntry,
+    OP_KIND_NAMES,
     AddAccessSpec,
     AddROSpec,
     BlockWriteOp,
@@ -335,13 +341,13 @@ def _random_message(rng: random.Random):
             for _ in range(rng.randrange(3))
         )
         access_results = tuple(
-            AccessResultEntry(
-                rng.randrange(5),
-                rng.randbytes(12),
-                rng.random() < 0.5,
-                rng.randrange(2**32),
-                tuple(rng.randrange(2**16) for _ in range(rng.randrange(4))),
-                text,
+            AccessResult(
+                kind=OP_KIND_NAMES[rng.randrange(5)],
+                target_epc=rng.randbytes(12),
+                success=rng.random() < 0.5,
+                attempts=rng.randrange(2**32),
+                data=tuple(rng.randrange(2**16) for _ in range(rng.randrange(4))),
+                detail=text or None,
             )
             for _ in range(rng.randrange(3))
         )

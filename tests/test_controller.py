@@ -489,6 +489,53 @@ class TestControlProtocol:
             assert reply["ok"] is False and reply["error"] == "bad-request"
             assert client.release(token) == {"ok": True}
 
+    @pytest.mark.parametrize(
+        "value", [5, {"a": 1}, None, True], ids=["integer", "object", "null", "boolean"]
+    )
+    @pytest.mark.parametrize(
+        "cmd,field",
+        [
+            ("acquire", "user"),
+            ("release", "token"),
+            ("inventory", "token"),
+            ("reprogram", "token"),
+            ("reprogram", "firmware_text"),
+        ],
+    )
+    def test_string_fields_are_not_coerced(self, server, cmd, field, value):
+        # str() used to grant the lease to 5 as "5" and to {"a": 1} under
+        # its Python repr, and to turn a null token into "None".
+        with ControlClient(server.host, server.port) as client:
+            if cmd == "acquire":
+                reply = client.call({"cmd": "acquire", field: value})
+                assert reply["ok"] is False and reply["error"] == "bad-request"
+                assert client.status()["busy"] is False
+                return
+            token = client.acquire("alice")["token"]
+            reply = client.call(
+                {
+                    "cmd": cmd,
+                    "token": token,
+                    "antennas": [2],
+                    "duration_s": 1.0,
+                    "tags": [1],
+                    "firmware_text": SMALL_FIRMWARE,
+                    field: value,
+                }
+            )
+            assert reply["ok"] is False and reply["error"] == "bad-request"
+            assert client.status()["holder"] == "alice"
+            assert client.release(token) == {"ok": True}
+
+    def test_string_fields_keep_their_defaults(self, server):
+        with ControlClient(server.host, server.port) as client:
+            token = client.call({"cmd": "acquire"})["token"]
+            assert client.status()["holder"] == "anonymous"
+            reply = client.call({"cmd": "reprogram", "token": token, "tags": [1]})
+            assert reply["ok"] is False and reply["error"] == "bad-request"
+            assert client.call({"cmd": "release"})["error"] == "invalid-token"
+            assert client.release(token) == {"ok": True}
+
     def test_whole_number_fields_keep_working(self, server):
         # JSON integers are numbers too, and the string antenna forms are
         # parsed, not coerced.

@@ -1,12 +1,15 @@
 """Wire protocol tests: golden frames, round-trips, error taxonomy, framing."""
 
+import socket
 import struct
+import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tpcbed.gen2 import AccessResult
 from tpcbed.llrp import (
-    AccessResultEntry,
     AddAccessSpec,
     AddROSpec,
     BlockWriteOp,
@@ -26,6 +29,7 @@ from tpcbed.llrp import (
     Keepalive,
     KeepaliveAck,
     MsgType,
+    OP_KIND_NAMES,
     PROTOCOL_VERSION,
     ROAccessReport,
     ReadOp,
@@ -37,8 +41,17 @@ from tpcbed.llrp import (
     encode,
     encode_frames,
 )
+from tpcbed.reader import ReaderClient
 
 EPC = bytes.fromhex("e20000000000000000000001")
+EVERY_OP = (
+    ReadOp(0x4400, 2),
+    BlockWriteOp(0x4400, (0x1234,)),
+    BlockWriteOp(0x4402, (0xABCD, 0x0001, 0xFFFF)),
+    GotoBiosOp(),
+    ChecksumOp(0x4400, 8),
+    CommitOp(((0x4400, 8, 0xBEEF), (0xFFFE, 2, 0x4400)), True, False),
+)
 
 # Golden frames, written out by hand from the header/payload layout.
 # If any of these change, every deployed peer breaks - that is the point
@@ -57,6 +70,63 @@ GOLDEN = [
     (
         CapabilitiesResponse(2, "tpcbed-sim", (1, 2, 3)),
         "010002000000020000001b03010203000a7470636265642d73696d",
+    ),
+    # One op of every kind, first letting the reader pick the antenna.
+    (
+        AddAccessSpec(12, 34, EPC, (), 16, EVERY_OP),
+        "0100040000000c0000004d00000022e200000000000000000000010000100006"
+        "0044000002014400000112340144020003abcd0001ffff020344000008040100"
+        "0244000008beeffffe00024400",
+    ),
+    (
+        AddAccessSpec(13, 35, EPC, (1, 2, 3), 0xFFFF, EVERY_OP),
+        "0100040000000d0000005000000023e200000000000000000000010301020"
+        "3ffff00060044000002014400000112340144020003abcd0001ffff0203440000"
+        "080401000244000008beeffffe00024400",
+    ),
+    # Access reports: a bare success, data words, a refusal, and a detail
+    # that is not ASCII.  No detail travels as the empty string.
+    (
+        ROAccessReport(14, access_results=(AccessResult("goto-bios", EPC, True, 1),)),
+        "0100070000000e000000250000000102e200000000000000000000010100000001"
+        "00000000",
+    ),
+    (
+        ROAccessReport(
+            15,
+            access_results=(
+                AccessResult("read", EPC, True, 3, None, (0x1234, 0xABCD)),
+            ),
+        ),
+        "0100070000000f000000290000000100e200000000000000000000010100000003"
+        "00021234abcd0000",
+    ),
+    (
+        ROAccessReport(
+            16,
+            access_results=(
+                AccessResult("commit", EPC, False, 1, "checksum-mismatch"),
+            ),
+        ),
+        "01000700000010000000360000000104e200000000000000000000010000000001"
+        "00000011636865636b73756d2d6d69736d61746368",
+    ),
+    (
+        ROAccessReport(
+            17,
+            access_results=(
+                AccessResult("checksum", EPC, False, 2**32 - 1, "r\u00e9gion \u2716"),
+            ),
+        ),
+        "01000700000011000000300000000103e2000000000000000000000100ffffffff"
+        "0000000b72c3a967696f6e20e29c96",
+    ),
+    (
+        ROAccessReport(
+            18, tag_reports=(TagReportEntry(EPC, 2, 17, -52345, -50001, 150, 9825),)
+        ),
+        "01000700000012000000380001e2000000000000000000000102000000"
+        "11ffff3387ffff3caf000000000000009600000000000026610000",
     ),
 ]
 
@@ -100,65 +170,73 @@ def op_strategy():
     )
 
 
-def message_strategy():
-    msg_id = st.integers(min_value=0, max_value=0xFFFFFFFF)
-    antennas = st.lists(
-        st.integers(min_value=0, max_value=255), max_size=4
-    ).map(tuple)
-    epc = st.binary(min_size=12, max_size=12)
-    text = st.text(max_size=40)
-    trigger = st.sampled_from(["end", "periodic"])
-    u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+MSG_ID = st.integers(min_value=0, max_value=0xFFFFFFFF)
+U32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+EPCS = st.binary(min_size=12, max_size=12)
+ANTENNAS = st.lists(st.integers(min_value=0, max_value=255), max_size=4).map(tuple)
+TEXT = st.text(max_size=40)
+
+
+def access_spec_strategy():
+    return st.builds(
+        AddAccessSpec,
+        MSG_ID,
+        U32,
+        EPCS,
+        ANTENNAS,
+        st.integers(min_value=0, max_value=0xFFFF),
+        st.lists(op_strategy(), max_size=5).map(tuple),
+    )
+
+
+def access_report_strategy(min_results=0):
     u64 = st.integers(min_value=0, max_value=2**64 - 1)
     i32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
     tag_entry = st.builds(
         TagReportEntry,
-        epc=epc,
+        epc=EPCS,
         antenna_id=st.integers(min_value=0, max_value=255),
-        read_count=u32,
+        read_count=U32,
         mean_rssi_mdbm=i32,
         last_rssi_mdbm=i32,
         first_seen_ms=u64,
         last_seen_ms=u64,
     )
     access_entry = st.builds(
-        AccessResultEntry,
-        op_kind=st.sampled_from([0, 1, 2, 3, 4]),
-        epc=epc,
+        AccessResult,
+        kind=st.sampled_from(sorted(OP_KIND_NAMES.values())),
+        target_epc=EPCS,
         success=st.booleans(),
-        attempts=u32,
+        attempts=U32,
         data=st.lists(
             st.integers(min_value=0, max_value=0xFFFF), max_size=6
         ).map(tuple),
-        detail=text,
+        detail=TEXT.map(lambda t: t or None),
     )
+    return st.builds(
+        ROAccessReport,
+        MSG_ID,
+        st.lists(tag_entry, max_size=3).map(tuple),
+        st.lists(access_entry, min_size=min_results, max_size=3).map(tuple),
+    )
+
+
+def message_strategy():
+    trigger = st.sampled_from(["end", "periodic"])
     return st.one_of(
-        st.builds(GetCapabilities, msg_id),
-        st.builds(CapabilitiesResponse, msg_id, text, antennas),
+        st.builds(GetCapabilities, MSG_ID),
+        st.builds(CapabilitiesResponse, MSG_ID, TEXT, ANTENNAS),
+        st.builds(AddROSpec, MSG_ID, U32, ANTENNAS, U32, trigger, U32),
+        access_spec_strategy(),
+        st.builds(StartROSpec, MSG_ID, U32),
+        st.builds(StopROSpec, MSG_ID, U32),
+        access_report_strategy(),
+        st.builds(Keepalive, MSG_ID),
+        st.builds(KeepaliveAck, MSG_ID),
         st.builds(
-            AddROSpec, msg_id, u32, antennas, u32, trigger, u32
+            ErrorMessage, MSG_ID, st.integers(min_value=0, max_value=0xFFFF), TEXT
         ),
-        st.builds(
-            AddAccessSpec,
-            msg_id,
-            u32,
-            epc,
-            antennas,
-            st.integers(min_value=0, max_value=0xFFFF),
-            st.lists(op_strategy(), max_size=5).map(tuple),
-        ),
-        st.builds(StartROSpec, msg_id, u32),
-        st.builds(StopROSpec, msg_id, u32),
-        st.builds(
-            ROAccessReport,
-            msg_id,
-            st.lists(tag_entry, max_size=3).map(tuple),
-            st.lists(access_entry, max_size=3).map(tuple),
-        ),
-        st.builds(Keepalive, msg_id),
-        st.builds(KeepaliveAck, msg_id),
-        st.builds(ErrorMessage, msg_id, st.integers(min_value=0, max_value=0xFFFF), text),
-        st.builds(SuccessMessage, msg_id),
+        st.builds(SuccessMessage, MSG_ID),
     )
 
 
@@ -281,6 +359,68 @@ class TestDecodeTaxonomy:
             pass  # every failure must be a classified DecodeError
 
 
+def _cut(frame: bytes, length: int) -> bytes:
+    """The first ``length`` bytes of ``frame``, its header saying so."""
+    cut = bytearray(frame[:length])
+    struct.pack_into(">I", cut, 7, length)
+    return bytes(cut)
+
+
+class TestAccessFramesAreTotal:
+    """Access specs and reports have their own decode loops: a short or
+    corrupt one must still be a malformed payload, never anything else."""
+
+    @settings(max_examples=150)
+    @given(st.one_of(access_spec_strategy(), access_report_strategy()))
+    def test_every_cut_of_the_payload_is_malformed(self, msg):
+        frame = encode(msg)
+        for length in range(HEADER_LEN, len(frame)):
+            with pytest.raises(DecodeError) as err:
+                decode(_cut(frame, length))
+            assert err.value.kind is DecodeErrorKind.MALFORMED_PAYLOAD
+
+    @settings(max_examples=150)
+    @given(access_report_strategy(min_results=1), st.integers(5, 255), st.data())
+    def test_unknown_op_kind_in_a_result_is_malformed(self, report, code, data):
+        index = data.draw(st.integers(0, len(report.access_results) - 1))
+        before = replace(report, access_results=report.access_results[:index])
+        frame = bytearray(encode(report))
+        frame[len(encode(before))] = code  # the result's op kind byte
+        with pytest.raises(DecodeError) as err:
+            decode(bytes(frame))
+        assert err.value.kind is DecodeErrorKind.MALFORMED_PAYLOAD
+
+    @pytest.mark.parametrize("code", [5, 9, 255])
+    def test_client_refuses_a_report_with_an_unknown_op_kind(self, code):
+        result = AccessResult("goto-bios", EPC, True, 1)
+        report = bytearray(encode(ROAccessReport(3, access_results=(result,))))
+        report[HEADER_LEN + 4] = code  # no tag reports, one result
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10.0)
+
+        def serve() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                stream = FrameStream()
+                while chunk := conn.recv(65536):
+                    for msg in stream.feed(chunk):
+                        if isinstance(msg, StartROSpec):
+                            conn.sendall(bytes(report))
+                        conn.sendall(encode(SuccessMessage(msg.msg_id)))
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            with ReaderClient(*listener.getsockname()[:2], timeout_s=10.0) as client:
+                with pytest.raises(DecodeError) as err:
+                    client.execute_access([GotoBiosOp()], EPC)
+            assert err.value.kind is DecodeErrorKind.MALFORMED_PAYLOAD
+            server.join(timeout=10.0)
+            assert not server.is_alive()
+        finally:
+            listener.close()
+
+
 class TestFrameStream:
     def test_multiple_frames_one_feed(self):
         stream = FrameStream()
@@ -353,7 +493,7 @@ class TestFrameStream:
         report = ROAccessReport(
             3,
             access_results=tuple(
-                AccessResultEntry(1, EPC, True, 0xFFFFFFFF, (), "")
+                AccessResult("block-write", EPC, True, 0xFFFFFFFF)
                 for _ in range(words)
             ),
         )
@@ -364,14 +504,16 @@ class TestFrameStream:
 
 class TestEncodeFrames:
     def test_everything_within_the_cap_is_one_frame(self):
-        entries = (AccessResultEntry(0, EPC, True, 3, (1, 2), "é"),) * 3
+        entries = (AccessResult("read", EPC, True, 3, "é", (1, 2)),) * 3
         for msg in (ROAccessReport(5, access_results=entries), Keepalive(1)):
             assert encode_frames(msg) == [encode(msg)]
 
     def test_access_results_over_the_cap_are_spread_over_reports(self):
         # Twenty reads of 56 KiB each come to about 1.1 MiB of results.
         entries = tuple(
-            AccessResultEntry(0, EPC, True, i, tuple(range(0x7000 + i)), "é" * i)
+            AccessResult(
+                "read", EPC, True, i, "é" * i or None, tuple(range(0x7000 + i))
+            )
             for i in range(20)
         )
         frames = encode_frames(ROAccessReport(5, access_results=entries))
