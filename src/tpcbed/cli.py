@@ -9,6 +9,7 @@ reproduces its outputs exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -153,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_log(path: Path | None) -> ExperimentLog | None:
-    return None if path is None else ExperimentLog(path)
+def _open_log(path: Path | None):
+    """The event log at ``path`` as a context, or one that yields None."""
+    return contextlib.nullcontext() if path is None else ExperimentLog(path)
 
 
 def _leased_call(args, request, *request_args) -> dict | None:
@@ -200,14 +202,10 @@ def _cmd_inventory(args) -> int:
     else:
         config = load_config(args.config)
         controller = TestbedController(config)
-        log = _open_log(args.log)
-        try:
+        with _open_log(args.log) as log:
             rows = controller.run_inventory_experiment(
                 args.antenna, args.duration, args.seed, log=log
             )
-        finally:
-            if log is not None:
-                log.close()
     write_inventory_csv(rows, args.out)
     print(format_inventory_csv(rows), end="")
     return 0
@@ -241,43 +239,38 @@ def _cmd_reprogram(args) -> int:
         config = load_config(args.config)
         controller = TestbedController(config)
         image = load_firmware(args.firmware)
-        log = _open_log(args.log)
-        try:
+        with _open_log(args.log) as log:
             stats = controller.run_reprogram_experiment(
                 args.tags, image, args.seed, log=log
             )
-        finally:
-            if log is not None:
-                log.close()
     write_reprogram_csv(stats, args.out)
     print(format_reprogram_csv(stats), end="")
     return 0
 
 
-def _cmd_serve(args) -> int:
-    config = load_config(args.config)
-    server = ControlServer(config, host=args.host, port=args.port).start()
-    print(f"control server on {server.host}:{server.port}")
+def _serve_forever(server, what: str) -> int:
+    """Start ``server``, say where it listens, and serve until interrupted."""
+    server.start()
+    print(f"{what} on {server.host}:{server.port}")
     try:
         server._thread.join()
     except KeyboardInterrupt:
         server.close()
     return 0
+
+
+def _cmd_serve(args) -> int:
+    config = load_config(args.config)
+    server = ControlServer(config, host=args.host, port=args.port)
+    return _serve_forever(server, "control server")
 
 
 def _cmd_reader_serve(args) -> int:
     config = load_config(args.config)
-    world = World(config, args.seed)
-    reader = Reader(world)
     host = args.host if args.host is not None else config.controller.host
     port = args.port if args.port is not None else config.controller.reader_port
-    server = ReaderServer(reader, host=host, port=port).start()
-    print(f"reader on {server.host}:{server.port}")
-    try:
-        server._thread.join()
-    except KeyboardInterrupt:
-        server.close()
-    return 0
+    server = ReaderServer(Reader(World(config, args.seed)), host=host, port=port)
+    return _serve_forever(server, "reader")
 
 
 def _cmd_status(args) -> int:

@@ -21,7 +21,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import secrets
 import socket
 import threading
@@ -31,7 +30,14 @@ from pathlib import Path
 
 from .config import TestbedConfig
 from .llrp import MAX_FRAME_LEN
-from .reader import SORTED_JSON, Reader, TagObservation, TcpServer
+from .reader import (  # MAX_DURATION_S is re-exported
+    MAX_DURATION_S,
+    SORTED_JSON,
+    Reader,
+    TagObservation,
+    TcpServer,
+    check_duration_s,
+)
 from .wisent import (
     FirmwareImage,
     TransferPolicy,
@@ -41,11 +47,6 @@ from .wisent import (
     reprogram,
 )
 from .world import World
-
-#: Longest inventory survey, in virtual seconds per antenna: a day.  A
-#: survey costs wall time in proportion, and a control request holds the
-#: server thread and the lease until it ends.
-MAX_DURATION_S = 86_400.0
 
 #: Longest request line, newline included: the reader protocol's frame
 #: cap.  A reprogram request carrying a whole-span image is about 205 KB.
@@ -131,14 +132,10 @@ class SessionManager:
             current = self._current
             if current is None or current.token != token:
                 raise InvalidToken("no such lease")
-            renewed = Session(
-                token=current.token,
-                user=current.user,
-                acquired_at_s=current.acquired_at_s,
-                expires_at_s=self._clock() + self._timeout,
+            self._current = dataclasses.replace(
+                current, expires_at_s=self._clock() + self._timeout
             )
-            self._current = renewed
-            return renewed
+            return self._current
 
     def release(self, token: str) -> None:
         with self._lock:
@@ -296,29 +293,23 @@ class TestbedController:
                 )
             results.append(stats)
             if sink is not None:
-                sink(
-                    {
-                        "event": "transfer",
-                        "tag_id": stats.tag_id,
-                        "antennas": list(stats.antennas),
-                        "messages_sent": stats.messages_sent,
-                        "messages_retried": stats.messages_retried,
-                        "duration_s": round(stats.virtual_duration_s, 3),
-                        "outcome": stats.outcome,
-                    }
-                )
+                sink({"event": "transfer", **transfer_row(stats)})
         if sink is not None:
             sink({"event": "experiment-end", "rows": len(results)})
         return results
 
 
-def check_duration_s(duration_s: float) -> None:
-    """Refuse a survey length that is not a number of seconds up to a day."""
-    if not math.isfinite(duration_s) or not 0.0 <= duration_s <= MAX_DURATION_S:
-        raise ValueError(
-            f"duration_s must be between 0 and {MAX_DURATION_S:g} s, "
-            f"got {duration_s!r}"
-        )
+def transfer_row(stats: TransferStats) -> dict:
+    """One transfer as its ``transfer`` event and a control reply's row
+    carry it."""
+    return {
+        "tag_id": stats.tag_id,
+        "antennas": list(stats.antennas),
+        "messages_sent": stats.messages_sent,
+        "messages_retried": stats.messages_retried,
+        "duration_s": round(stats.virtual_duration_s, 3),
+        "outcome": stats.outcome,
+    }
 
 
 def _to_row(obs: TagObservation) -> InventoryRow:
@@ -513,20 +504,7 @@ class ControlServer(TcpServer):
                 stats = self.controller.run_reprogram_experiment(
                     tag_ids, image, seed
                 )
-                return {
-                    "ok": True,
-                    "rows": [
-                        {
-                            "tag_id": s.tag_id,
-                            "antennas": list(s.antennas),
-                            "messages_sent": s.messages_sent,
-                            "messages_retried": s.messages_retried,
-                            "duration_s": round(s.virtual_duration_s, 3),
-                            "outcome": s.outcome,
-                        }
-                        for s in stats
-                    ],
-                }
+                return {"ok": True, "rows": [transfer_row(s) for s in stats]}
             return {"ok": False, "error": "unknown-command", "detail": str(cmd)}
         except TestbedBusy as exc:
             return {

@@ -124,10 +124,6 @@ class RoundResult:
             for i in range(self.slots)
         )
 
-    @property
-    def singulated(self) -> tuple[SlotOutcome, ...]:
-        return tuple(o for o in self.outcomes if o.kind is SlotKind.SINGULATED)
-
 
 @dataclass(frozen=True, slots=True)
 class AccessResult:

@@ -25,6 +25,7 @@ import enum
 import functools
 import struct
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from .gen2 import AccessResult
 
@@ -107,23 +108,26 @@ _READ, _BLOCK_WRITE, _GOTO_BIOS, _CHECKSUM, _COMMIT = (int(k) for k in OpKind)
 
 @dataclass(frozen=True)
 class ReadOp:
+    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.READ]
     start_address: int
     word_count: int
 
 
 @dataclass(frozen=True, slots=True)
 class BlockWriteOp:
+    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.BLOCK_WRITE]
     start_address: int
     words: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class GotoBiosOp:
-    pass
+    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.GOTO_BIOS]
 
 
 @dataclass(frozen=True)
 class ChecksumOp:
+    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.CHECKSUM]
     start_address: int
     byte_length: int
 
@@ -132,6 +136,7 @@ class ChecksumOp:
 class CommitOp:
     """Activates a staged image: per-segment checksums plus behavior flags."""
 
+    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.COMMIT]
     segments: tuple[tuple[int, int, int], ...]  # (start, byte_length, checksum)
     obeys_goto_bios: bool = True
     responds_to_inventory: bool = True

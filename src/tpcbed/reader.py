@@ -9,23 +9,25 @@ of budget.
 
 The Reader object itself satisfies the session interface the transfer
 code wants (``slot_duration_ms`` + ``execute_access``), so in-process
-callers use it directly.  ReaderServer/ReaderClient carry the same
-operations over TCP with the binary framing from the llrp module;
-RemoteReaderSession adapts the client back to the session interface so
-callers cannot tell local from remote.  TcpServer is the accept loop
-ReaderServer shares with the control server.
+callers use it directly; it stores no specs.  ReaderServer/ReaderClient
+carry the same operations over TCP with the binary framing from the
+llrp module: the server holds the specs a client added and runs each
+on the Reader when it is started.  RemoteReaderSession adapts the
+client back to the session interface so callers cannot tell local from
+remote.  TcpServer is the accept loop ReaderServer shares with the
+control server.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 from dataclasses import dataclass
 
 from .gen2 import AccessResult, ReachableTag, rounded_q, run_inventory_round
 from .llrp import (
-    AccessOp,
     AddAccessSpec,
     AddROSpec,
     BlockWriteOp,
@@ -41,8 +43,7 @@ from .llrp import (
     Keepalive,
     KeepaliveAck,
     Message,
-    OP_KIND_NAMES,
-    OpKind,
+    OP_KIND_NAMES,  # re-exported
     ROAccessReport,
     ReadOp,
     StartROSpec,
@@ -70,18 +71,27 @@ READER_MODEL = "tpcbed-sim"
 SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
 
-def op_kind_of(op: AccessOp) -> OpKind:
-    if isinstance(op, ReadOp):
-        return OpKind.READ
-    if isinstance(op, BlockWriteOp):
-        return OpKind.BLOCK_WRITE
-    if isinstance(op, GotoBiosOp):
-        return OpKind.GOTO_BIOS
-    if isinstance(op, ChecksumOp):
-        return OpKind.CHECKSUM
-    if isinstance(op, CommitOp):
-        return OpKind.COMMIT
-    raise TypeError(f"not an access op: {type(op).__name__}")
+#: Longest inventory survey, in virtual seconds per antenna: a day.  A
+#: survey costs wall time in proportion, and a request holds its server
+#: thread (on the control door, the lease too) until it ends.
+MAX_DURATION_S = 86_400.0
+
+
+def check_duration_s(duration_s: float) -> None:
+    """Refuse a survey length that is not a number of seconds up to a day."""
+    if not math.isfinite(duration_s) or not 0.0 <= duration_s <= MAX_DURATION_S:
+        raise ValueError(
+            f"duration_s must be between 0 and {MAX_DURATION_S:g} s, "
+            f"got {duration_s!r}"
+        )
+
+
+def check_report(report_trigger: str, report_interval_ms: float) -> None:
+    """Refuse a report trigger ``Reader.run_inventory`` cannot serve."""
+    if report_trigger not in ("end", "periodic"):
+        raise ValueError(f"unknown report trigger {report_trigger!r}")
+    if report_trigger == "periodic" and report_interval_ms <= 0:
+        raise ValueError("periodic reports need a positive interval")
 
 
 @dataclass(frozen=True)
@@ -156,8 +166,6 @@ class Reader:
     def __init__(self, world: World, event_sink=None):
         self.world = world
         self._sink = event_sink
-        self.rospecs: dict[int, AddROSpec] = {}
-        self.accessspecs: dict[int, AddAccessSpec] = {}
 
     @property
     def slot_duration_ms(self) -> float:
@@ -180,10 +188,7 @@ class Reader:
         runs no rounds.  Each antenna keeps its own Q estimate for the
         length of the run.
         """
-        if report_trigger not in ("end", "periodic"):
-            raise ValueError(f"unknown report trigger {report_trigger!r}")
-        if report_trigger == "periodic" and report_interval_ms <= 0:
-            raise ValueError("periodic reports need a positive interval")
+        check_report(report_trigger, report_interval_ms)
         for antenna_id in antenna_ids:
             self.world.config.geometry.antenna(antenna_id)  # raises if unknown
 
@@ -282,39 +287,6 @@ class Reader:
 
     # -- access -----------------------------------------------------------
 
-    def _dispatch(self, op: AccessOp, tag) -> TagAck | None:
-        """Apply one delivered command to the tag; None means silence."""
-        if isinstance(op, GotoBiosOp):
-            return tag.on_goto_bios()
-        if isinstance(op, BlockWriteOp):
-            return tag.on_write_words(op.start_address, list(op.words))
-        if isinstance(op, ReadOp):
-            try:
-                raw = tag.read_bytes(op.start_address, op.word_count * WORD_BYTES)
-            except MemoryAccessError:
-                return TagAck(False, "region-violation")
-            words = tuple(
-                raw[i] | (raw[i + 1] << 8) for i in range(0, len(raw), WORD_BYTES)
-            )
-            return TagAck(True, data=words)
-        if isinstance(op, ChecksumOp):
-            if tag.mode is not TagMode.BIOS:
-                return TagAck(False, "wrong-mode")
-            try:
-                value = tag.compute_checksum(op.start_address, op.byte_length)
-            except MemoryAccessError:
-                return TagAck(False, "region-violation")
-            return TagAck(True, data=(value,))
-        if isinstance(op, CommitOp):
-            return tag.commit_firmware(
-                list(op.segments),
-                ApplicationBehavior(
-                    obeys_goto_bios=op.obeys_goto_bios,
-                    responds_to_inventory=op.responds_to_inventory,
-                ),
-            )
-        raise TypeError(f"not an access op: {type(op).__name__}")
-
     def execute_access(
         self,
         ops,
@@ -371,7 +343,10 @@ class Reader:
         responsive = tag is not None and tag.responsive
 
         for op in ops:
-            kind = OP_KIND_NAMES[op_kind_of(op)]
+            handler = OP_HANDLERS.get(type(op))
+            if handler is None:
+                raise TypeError(f"not an access op: {type(op).__name__}")
+            kind = op.kind
             attempts = 0
             success = False
             detail = None
@@ -392,7 +367,7 @@ class Reader:
                     continue
                 if random() >= p2:
                     continue
-                ack = self._dispatch(op, tag)
+                ack = handler(op, tag)
                 responsive = tag.responsive
                 if ack is None:
                     continue
@@ -420,37 +395,41 @@ class Reader:
                 break
         return results
 
-    # -- stored specs -------------------------------------------------------
 
-    def add_rospec(self, spec: AddROSpec) -> None:
-        for antenna_id in spec.antenna_ids:
-            self.world.config.geometry.antenna(antenna_id)
-        self.rospecs[spec.rospec_id] = spec
+def _read(op: ReadOp, tag) -> TagAck:
+    try:
+        raw = tag.read_bytes(op.start_address, op.word_count * WORD_BYTES)
+    except MemoryAccessError:
+        return TagAck(False, "region-violation")
+    words = tuple(raw[i] | (raw[i + 1] << 8) for i in range(0, len(raw), WORD_BYTES))
+    return TagAck(True, data=words)
 
-    def add_accessspec(self, spec: AddAccessSpec) -> None:
-        for antenna_id in spec.antenna_ids:
-            self.world.config.geometry.antenna(antenna_id)
-        self.accessspecs[spec.accessspec_id] = spec
 
-    # Running a stored spec consumes it, so a long-lived reader holds
-    # only the specs added and not yet started.
-    def run_rospec(self, rospec_id: int) -> list[list[TagObservation]]:
-        spec = self.rospecs.pop(rospec_id)
-        return self.run_inventory(
-            spec.antenna_ids,
-            float(spec.duration_ms),
-            spec.report_trigger,
-            float(spec.report_interval_ms),
-        )
+def _checksum(op: ChecksumOp, tag) -> TagAck:
+    if tag.mode is not TagMode.BIOS:
+        return TagAck(False, "wrong-mode")
+    try:
+        value = tag.compute_checksum(op.start_address, op.byte_length)
+    except MemoryAccessError:
+        return TagAck(False, "region-violation")
+    return TagAck(True, data=(value,))
 
-    def run_accessspec(self, accessspec_id: int) -> list[AccessResult]:
-        spec = self.accessspecs.pop(accessspec_id)
-        return self.execute_access(
-            spec.ops,
-            spec.target_epc,
-            spec.antenna_ids or None,
-            spec.max_retries,
-        )
+
+def _commit(op: CommitOp, tag) -> TagAck | None:
+    behavior = ApplicationBehavior(op.obeys_goto_bios, op.responds_to_inventory)
+    return tag.commit_firmware(list(op.segments), behavior)
+
+
+#: What one delivered command does to the tag, by op class: the tag's
+#: ack, or None for silence.  Keyed by exact class; nothing subclasses
+#: an op type.
+OP_HANDLERS = {
+    ReadOp: _read,
+    BlockWriteOp: lambda op, tag: tag.on_write_words(op.start_address, list(op.words)),
+    GotoBiosOp: lambda op, tag: tag.on_goto_bios(),
+    ChecksumOp: _checksum,
+    CommitOp: _commit,
+}
 
 
 # -- wire conversions -------------------------------------------------------
@@ -468,19 +447,6 @@ def observation_to_entry(row: TagObservation) -> TagReportEntry:
     )
 
 
-def entry_to_observation(entry: TagReportEntry, tag_id: int = -1) -> TagObservation:
-    return TagObservation(
-        antenna_id=entry.antenna_id,
-        tag_id=tag_id,
-        epc=entry.epc,
-        read_count=entry.read_count,
-        mean_rssi_dbm=entry.mean_rssi_mdbm / 1000.0,
-        last_rssi_dbm=entry.last_rssi_mdbm / 1000.0,
-        first_seen_ms=float(entry.first_seen_ms),
-        last_seen_ms=float(entry.last_seen_ms),
-    )
-
-
 # -- server -----------------------------------------------------------------
 
 
@@ -492,6 +458,10 @@ def _disable_nagle(sock: socket.socket) -> None:
     first, and a delayed ACK stalls every access for about 40 ms.
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _malformed(error: DecodeError) -> ErrorMessage:
+    return ErrorMessage(0, int(ErrorCode.MALFORMED), error.kind.value)
 
 
 class TcpServer:
@@ -558,11 +528,16 @@ class ReaderServer(TcpServer):
     corrupt both of their runs.  Within a connection, decode errors on a
     well-framed message get an error reply and the connection survives;
     unframeable garbage (bad version, absurd length) ends it.
+
+    The server holds the specs clients added.  Starting one consumes it,
+    so a long-lived server holds only the specs added and not yet started.
     """
 
     def __init__(self, reader: Reader, host: str = "127.0.0.1", port: int = 0):
         super().__init__(host, port, "reader-server")
         self.reader = reader
+        self.rospecs: dict[int, AddROSpec] = {}
+        self.accessspecs: dict[int, AddAccessSpec] = {}
         self._busy = threading.Lock()
 
     def _admit(self, conn: socket.socket) -> bool:
@@ -594,21 +569,11 @@ class ReaderServer(TcpServer):
                 try:
                     items = stream.feed(chunk)
                 except DecodeError as exc:
-                    conn.sendall(
-                        encode(
-                            ErrorMessage(
-                                0, int(ErrorCode.MALFORMED), exc.kind.value
-                            )
-                        )
-                    )
+                    conn.sendall(encode(_malformed(exc)))
                     return
                 for item in items:
                     if isinstance(item, DecodeError):
-                        replies = [
-                            ErrorMessage(
-                                0, int(ErrorCode.MALFORMED), item.kind.value
-                            )
-                        ]
+                        replies = [_malformed(item)]
                     else:
                         replies = self._handle(item)
                     for reply in replies:
@@ -620,58 +585,54 @@ class ReaderServer(TcpServer):
 
     def _handle(self, msg: Message) -> list[Message]:
         reader = self.reader
+        geometry = reader.world.config.geometry
         mid = msg.msg_id
         if isinstance(msg, GetCapabilities):
-            return [
-                CapabilitiesResponse(
-                    mid,
-                    model=READER_MODEL,
-                    antenna_ids=reader.world.config.geometry.antenna_ids(),
-                )
-            ]
+            return [CapabilitiesResponse(mid, READER_MODEL, geometry.antenna_ids())]
         if isinstance(msg, Keepalive):
             return [KeepaliveAck(mid)]
         if isinstance(msg, AddROSpec):
             try:
-                reader.add_rospec(msg)
-            except GeometryError as exc:
-                return [ErrorMessage(mid, int(ErrorCode.UNKNOWN_ANTENNA), str(exc))]
-            return [SuccessMessage(mid)]
-        if isinstance(msg, AddAccessSpec):
+                check_duration_s(msg.duration_ms / 1000.0)
+                check_report(msg.report_trigger, msg.report_interval_ms)
+            except ValueError as exc:
+                return [ErrorMessage(mid, int(ErrorCode.MALFORMED), str(exc))]
+        if isinstance(msg, (AddROSpec, AddAccessSpec)):
             try:
-                reader.add_accessspec(msg)
+                for antenna_id in msg.antenna_ids:
+                    geometry.antenna(antenna_id)
             except GeometryError as exc:
                 return [ErrorMessage(mid, int(ErrorCode.UNKNOWN_ANTENNA), str(exc))]
+            if isinstance(msg, AddROSpec):
+                self.rospecs[msg.rospec_id] = msg
+            else:
+                self.accessspecs[msg.accessspec_id] = msg
             return [SuccessMessage(mid)]
         if isinstance(msg, StartROSpec):
-            if msg.rospec_id in reader.rospecs:
-                batches = reader.run_rospec(msg.rospec_id)
-                replies: list[Message] = [
-                    ROAccessReport(
-                        mid,
-                        tag_reports=tuple(
-                            observation_to_entry(row) for row in batch
-                        ),
-                    )
+            rospec = self.rospecs.pop(msg.rospec_id, None)
+            if rospec is not None:
+                batches = reader.run_inventory(
+                    rospec.antenna_ids,
+                    float(rospec.duration_ms),
+                    rospec.report_trigger,
+                    float(rospec.report_interval_ms),
+                )
+                reports = [
+                    ROAccessReport(mid, tuple(map(observation_to_entry, batch)))
                     for batch in batches
                 ]
-                replies.append(SuccessMessage(mid))
-                return replies
-            if msg.rospec_id in reader.accessspecs:
-                results = tuple(reader.run_accessspec(msg.rospec_id))
-                return [ROAccessReport(mid, (), results), SuccessMessage(mid)]
-            return [
-                ErrorMessage(
-                    mid, int(ErrorCode.UNKNOWN_ROSPEC), f"no spec {msg.rospec_id}"
+                return [*reports, SuccessMessage(mid)]
+            spec = self.accessspecs.pop(msg.rospec_id, None)
+            if spec is not None:
+                results = reader.execute_access(
+                    spec.ops, spec.target_epc, spec.antenna_ids, spec.max_retries
                 )
-            ]
-        if isinstance(msg, StopROSpec):
-            known = (
-                msg.rospec_id in reader.rospecs
-                or msg.rospec_id in reader.accessspecs
-            )
-            if known:
-                return [SuccessMessage(mid)]
+                return [ROAccessReport(mid, (), tuple(results)), SuccessMessage(mid)]
+        if isinstance(msg, StopROSpec) and (
+            msg.rospec_id in self.rospecs or msg.rospec_id in self.accessspecs
+        ):
+            return [SuccessMessage(mid)]
+        if isinstance(msg, (StartROSpec, StopROSpec)):
             return [
                 ErrorMessage(
                     mid, int(ErrorCode.UNKNOWN_ROSPEC), f"no spec {msg.rospec_id}"

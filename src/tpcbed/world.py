@@ -97,7 +97,6 @@ class World:
     def __init__(self, config: TestbedConfig, seed: int = 0):
         config.validate()
         self.config = config
-        self.seed = seed
         self.rng = random.Random(seed)
         self.clock = VirtualClock(epoch=config.controller.epoch_datetime())
         self.tags: dict[int, CrfidTag] = {}

@@ -205,14 +205,14 @@ def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
     each event as the dict the log line encodes.
     """
     from tpcbed.gen2 import AccessResult
-    from tpcbed.reader import OP_KIND_NAMES, op_kind_of
+    from tpcbed.reader import OP_HANDLERS
     from tpcbed.rfchannel import GeometryError
 
     world = reader.world
     slot_ms = world.config.inventory.slot_duration_ms
     results, events = [], []
     for op in ops:
-        kind = OP_KIND_NAMES[op_kind_of(op)]
+        kind = op.kind
         attempts, success, detail, data = 0, False, None, ()
         for attempt in range(max_retries + 1):
             antenna_id = antennas[attempt % len(antennas)]
@@ -230,7 +230,7 @@ def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
                 continue
             if world.rng.random() >= p * p:
                 continue
-            ack = reader._dispatch(op, tag)
+            ack = OP_HANDLERS[type(op)](op, tag)
             if ack is None:
                 continue
             success, detail, data = ack.ok, ack.reason, tuple(ack.data)
@@ -339,3 +339,19 @@ def run_inventory_oracle(
     if report_trigger == "end" or reads:
         flush()
     return batches, events
+
+
+def entry_to_observation(entry, tag_id=-1):
+    """A wire tag report back as an observation; the wire carries no tag id."""
+    from tpcbed.reader import TagObservation
+
+    return TagObservation(
+        antenna_id=entry.antenna_id,
+        tag_id=tag_id,
+        epc=entry.epc,
+        read_count=entry.read_count,
+        mean_rssi_dbm=entry.mean_rssi_mdbm / 1000.0,
+        last_rssi_dbm=entry.last_rssi_mdbm / 1000.0,
+        first_seen_ms=float(entry.first_seen_ms),
+        last_seen_ms=float(entry.last_seen_ms),
+    )

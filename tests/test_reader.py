@@ -5,16 +5,18 @@ import json
 import math
 import socket
 import time
+import typing
 
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import execute_access_oracle, run_inventory_oracle
+from oracles import entry_to_observation, execute_access_oracle, run_inventory_oracle
 import tpcbed.reader as reader_module
 from tpcbed.config import TagProfile, default_config
 from tpcbed.llrp import (
+    AccessOp,
     AddAccessSpec,
     AddROSpec,
     BlockWriteOp,
@@ -34,6 +36,8 @@ from tpcbed.llrp import (
     encode,
 )
 from tpcbed.reader import (
+    MAX_DURATION_S,
+    OP_HANDLERS,
     OP_KIND_NAMES,
     Reader,
     ReaderClient,
@@ -41,7 +45,6 @@ from tpcbed.reader import (
     ReaderServer,
     RemoteReaderSession,
     access_line,
-    entry_to_observation,
     observation_to_entry,
     round_line,
 )
@@ -214,6 +217,26 @@ class TestExecuteAccess:
             antennas=(2,),
         )
         assert len(results) == 1  # the goto-bios op never went out
+
+    def test_every_op_type_has_one_kind_and_a_handler(self):
+        op_types = typing.get_args(AccessOp)
+        kinds = [op_type.kind for op_type in op_types]
+        assert sorted(kinds) == sorted(OP_KIND_NAMES.values())  # one to one
+        assert set(OP_HANDLERS) == set(op_types)
+
+    def test_a_non_op_is_refused_when_its_turn_comes(self):
+        events = []
+        reader = make_reader(event_sink=events.append)
+        charge_all(reader.world)
+        with pytest.raises(TypeError, match="not an access op: object"):
+            reader.execute_access([object()], default_epc(1), (2,), 8)
+        assert events == [] and reader.world.clock.now_ms == 0.0
+        # the ops before it ran and were logged
+        with pytest.raises(TypeError, match="not an access op: object"):
+            reader.execute_access(
+                [ReadOp(0x4400, 1), object()], default_epc(1), (2,), 100
+            )
+        assert [json.loads(line)["op"] for line in events] == ["read"]
 
     def test_read_returns_flash_words(self):
         reader = make_reader()
@@ -953,7 +976,7 @@ class TestServerClient:
                 for _ in range(3):
                     client.execute_access([GotoBiosOp()], default_epc(1), (2,), 8)
                 client.run_inventory((2,), 1_000)
-                assert reader.accessspecs == {} and reader.rospecs == {}
+                assert server.accessspecs == {} and server.rospecs == {}
                 for spec_id, spec in (
                     (7, AddROSpec(client._take_id(), 7, (2,), 0, "end", 0)),
                     (8, AddAccessSpec(client._take_id(), 8, bytes(12), (), 0, ())),
@@ -972,6 +995,40 @@ class TestServerClient:
                 assert isinstance(reply, SuccessMessage)
                 with pytest.raises(ReaderError):
                     client.request(StopROSpec(client._take_id(), 8))
+
+    @pytest.mark.parametrize(
+        "trigger, duration_ms, interval_ms",
+        [
+            ("periodic", 1_000, 0),  # START could not pace its reports
+            ("periodic", 2**32 - 1, 1),  # 49.7 virtual days
+            ("end", int(MAX_DURATION_S * 1000) + 1, 0),
+        ],
+    )
+    def test_rospec_start_cannot_serve_is_refused_at_add(
+        self, trigger, duration_ms, interval_ms
+    ):
+        with ReaderServer(make_reader()) as server:
+            with ReaderClient(server.host, server.port) as client:
+                spec = AddROSpec(
+                    client._take_id(), 3, (2,), duration_ms, trigger, interval_ms
+                )
+                with pytest.raises(ReaderError) as err:
+                    client.request(spec)
+                assert err.value.error.code == ErrorCode.MALFORMED
+                assert server.rospecs == {}
+                client.keepalive()  # the connection still answers
+                with pytest.raises(ReaderError) as err:
+                    client.request(StartROSpec(client._take_id(), 3))
+                assert err.value.error.code == ErrorCode.UNKNOWN_ROSPEC
+
+    def test_longest_survey_is_accepted(self):
+        with ReaderServer(make_reader()) as server:
+            with ReaderClient(server.host, server.port) as client:
+                longest = int(MAX_DURATION_S * 1000)
+                client.request(
+                    AddROSpec(client._take_id(), 3, (2,), longest, "periodic", 1)
+                )
+                assert server.rospecs[3].duration_ms == longest
 
     def test_unknown_antenna_in_rospec(self):
         with ReaderServer(make_reader()) as server:
