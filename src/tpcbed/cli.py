@@ -18,32 +18,27 @@ from .config import load_config
 from .controller import (
     ControlClient,
     ControlServer,
-    ENVIRONMENTS,
     ExperimentLog,
     InventoryRow,
     TestbedController,
-    antennas_for_environment,
     check_duration_s,
     format_inventory_csv,
     format_reprogram_csv,
+    parse_antennas,
     write_inventory_csv,
     write_reprogram_csv,
 )
 from .reader import Reader, ReaderServer
+from .rfchannel import GeometryError
 from .wisent import TransferStats, load_firmware
 from .world import World
 
 
 def _parse_antenna_arg(text: str) -> tuple[int, ...]:
-    if text in ENVIRONMENTS:
-        return antennas_for_environment(text)
     try:
-        return tuple(int(part) for part in text.split("+"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected antenna ids like '2' or '2+3', or an environment "
-            f"name from {sorted(ENVIRONMENTS)}; got {text!r}"
-        ) from None
+        return parse_antennas(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_duration_arg(text: str) -> float:
@@ -295,7 +290,11 @@ def main(argv: list[str] | None = None) -> int:
         "reader-serve": _cmd_reader_serve,
         "status": _cmd_status,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except GeometryError as exc:  # an antenna or tag id the bench lacks
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

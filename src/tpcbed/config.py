@@ -79,7 +79,7 @@ class TagProfile:
             return None
         try:
             raw = bytes.fromhex(self.epc_hex)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad epc_hex {self.epc_hex!r}") from exc
         if len(raw) != 12:
             raise ConfigError("epc_hex must encode exactly 12 bytes")
@@ -119,44 +119,63 @@ def default_config(angle_preset: str = "default") -> TestbedConfig:
 # -- YAML overlay ---------------------------------------------------------
 
 
-def _overlay(instance: Any, section: Mapping[str, Any], name: str) -> Any:
-    """Apply a flat mapping onto a dataclass, rejecting unknown keys.
+def _coerce(value: Any, default: Any, path: str) -> Any:
+    """``value`` as the type of ``default``, or a ConfigError naming ``path``.
 
-    Values are coerced to the type of the default they replace, so a
-    YAML `30` lands as 30.0 where a float lives and a quoted number is
-    caught here instead of failing arithmetic much later.
+    A YAML `30` lands as 30.0 where a float lives; `true` is no number and
+    a quoted `"6"` no number either, so both are caught here instead of
+    skewing arithmetic much later.  A default of None takes any value.
     """
+    kind = type(default)
+    if kind in (int, float):
+        ok = type(value) is int or (
+            type(value) is float and (kind is float or value.is_integer())
+        )
+    elif kind in (bool, str):
+        ok = type(value) is kind
+    else:
+        return value
+    if not ok:
+        raise ConfigError(f"bad {path}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _overlay(instance: Any, section: Mapping[str, Any], name: str) -> Any:
+    """Apply a flat mapping onto a dataclass, rejecting unknown keys and
+    values of the wrong type."""
     known = {f.name: getattr(instance, f.name) for f in dataclasses.fields(instance)}
     unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    coerced = {}
-    for key, value in section.items():
-        current = known[key]
-        try:
-            if isinstance(current, bool):
-                if not isinstance(value, bool):
-                    raise TypeError("expected a boolean")
-                coerced[key] = value
-            elif isinstance(current, float):
-                if isinstance(value, str):
-                    raise TypeError("expected a number")
-                coerced[key] = float(value)
-            elif isinstance(current, int):
-                if isinstance(value, str) or value != int(value):
-                    raise TypeError("expected an integer")
-                coerced[key] = int(value)
-            else:
-                coerced[key] = value
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad {name}.{key}: {exc}") from exc
-    return dataclasses.replace(instance, **coerced)
+    return dataclasses.replace(
+        instance,
+        **{k: _coerce(v, known[k], f"{name}.{k}") for k, v in section.items()},
+    )
 
 
-def _require_mapping(value: Any, name: str) -> Mapping[str, Any]:
+def _require_mapping(value: Any, name: str, *keys: str) -> Mapping[str, Any]:
     if not isinstance(value, Mapping):
         raise ConfigError(f"{name} section must be a mapping")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise ConfigError(f"{name} needs {missing}")
     return value
+
+
+def _entries(section: dict, key: str, *required: str):
+    """Each mapping listed under ``geometry.<key>``, with its key path."""
+    entries = section.pop(key)
+    if not isinstance(entries, (list, tuple)):
+        raise ConfigError(f"geometry.{key} must be a list")
+    for i, entry in enumerate(entries):
+        path = f"geometry.{key}[{i}]"
+        yield path, dict(_require_mapping(entry, path, *required))
+
+
+def _link(pair: Any, path: str) -> tuple[float, float]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ConfigError(f"bad {path}: expected [distance_m, angle_deg]")
+    return _coerce(pair[0], 0.0, path), _coerce(pair[1], 0.0, path)
 
 
 def _geometry_from(section: Mapping[str, Any]) -> TestbedGeometry:
@@ -168,44 +187,25 @@ def _geometry_from(section: Mapping[str, Any]) -> TestbedGeometry:
         )
     geometry = default_geometry(preset)
 
-    if "wall_clearance_m" in section:
-        geometry = dataclasses.replace(
-            geometry, wall_clearance_m=float(section.pop("wall_clearance_m"))
-        )
     if "antennas" in section:
-        ports = []
-        for entry in section.pop("antennas"):
-            entry = dict(_require_mapping(entry, "antenna"))
-            ports.append(
-                AntennaPort(
-                    antenna_id=int(entry.pop("antenna_id")),
-                    gain_dbi=float(entry.pop("gain_dbi", 8.0)),
-                    label=str(entry.pop("label", "")),
-                )
-            )
-            if entry:
-                raise ConfigError(f"unknown antenna keys: {sorted(entry)}")
-        geometry = dataclasses.replace(geometry, antennas=tuple(ports))
+        ports = tuple(
+            _overlay(AntennaPort(0), entry, path)
+            for path, entry in _entries(section, "antennas", "antenna_id")
+        )
+        geometry = dataclasses.replace(geometry, antennas=ports)
     if "tags" in section:
         placements = []
-        for entry in section.pop("tags"):
-            entry = dict(_require_mapping(entry, "tag"))
-            links = {
-                int(antenna_id): (float(pair[0]), float(pair[1]))
-                for antenna_id, pair in _require_mapping(
-                    entry.pop("links"), "links"
-                ).items()
+        for path, entry in _entries(section, "tags", "tag_id", "links"):
+            where = f"{path}.links"
+            entry["links"] = {
+                int(antenna_id): _link(pair, f"{where}.{antenna_id}")
+                for antenna_id, pair in _require_mapping(entry["links"], where).items()
             }
-            rail = entry.pop("rail_position_m", None)
-            placements.append(
-                TagPlacement(
-                    tag_id=int(entry.pop("tag_id")),
-                    links=links,
-                    rail_position_m=None if rail is None else float(rail),
+            if entry.get("rail_position_m") is not None:
+                entry["rail_position_m"] = _coerce(
+                    entry["rail_position_m"], 0.0, f"{path}.rail_position_m"
                 )
-            )
-            if entry:
-                raise ConfigError(f"unknown tag keys: {sorted(entry)}")
+            placements.append(_overlay(TagPlacement(0, {}), entry, path))
         geometry = dataclasses.replace(geometry, tags=tuple(placements))
     if section:
         raise ConfigError(f"unknown geometry keys: {sorted(section)}")
@@ -217,24 +217,19 @@ def config_from_mapping(raw: Mapping[str, Any]) -> TestbedConfig:
     geometry_section = _require_mapping(raw.pop("geometry", {}), "geometry")
     cfg = TestbedConfig(geometry=_geometry_from(geometry_section))
 
-    for name, current in (
-        ("link", cfg.link),
-        ("energy", cfg.energy),
-        ("inventory", cfg.inventory),
-        ("transfer", cfg.transfer),
-        ("controller", cfg.controller),
-    ):
+    for name in ("link", "energy", "inventory", "transfer", "controller"):
         if name in raw:
             section = _require_mapping(raw.pop(name), name)
             cfg = dataclasses.replace(
-                cfg, **{name: _overlay(current, section, name)}
+                cfg, **{name: _overlay(getattr(cfg, name), section, name)}
             )
 
     if "tags" in raw:
         profiles = {}
         for key, entry in _require_mapping(raw.pop("tags"), "tags").items():
+            path = f"tags.{key}"
             profiles[int(key)] = _overlay(
-                TagProfile(), _require_mapping(entry, f"tags[{key}]"), "tag profile"
+                TagProfile(), _require_mapping(entry, path), path
             )
         cfg = dataclasses.replace(cfg, tag_profiles=profiles)
 

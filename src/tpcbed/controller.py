@@ -61,12 +61,16 @@ ENVIRONMENTS = {
 }
 
 
-def antennas_for_environment(name: str) -> tuple[int, ...]:
+def parse_antennas(text: str) -> tuple[int, ...]:
+    """An environment name, or antenna ids joined by ``+`` like ``2+3``."""
+    if text in ENVIRONMENTS:
+        return ENVIRONMENTS[text]
     try:
-        return ENVIRONMENTS[name]
-    except KeyError:
+        return tuple(int(part) for part in text.split("+"))
+    except ValueError:
         raise ValueError(
-            f"unknown environment {name!r}; pick from {sorted(ENVIRONMENTS)}"
+            f"expected antenna ids like '2' or '2+3', or an environment "
+            f"name from {sorted(ENVIRONMENTS)}; got {text!r}"
         ) from None
 
 
@@ -91,7 +95,6 @@ class LogWriteError(RuntimeError):
 class Session:
     token: str
     user: str
-    acquired_at_s: float
     expires_at_s: float
 
 
@@ -116,12 +119,10 @@ class SessionManager:
                     self._current.user,
                     self._current.expires_at_s - self._clock(),
                 )
-            now = self._clock()
             self._current = Session(
                 token=secrets.token_hex(16),
                 user=user,
-                acquired_at_s=now,
-                expires_at_s=now + self._timeout,
+                expires_at_s=self._clock() + self._timeout,
             )
             return self._current
 
@@ -204,6 +205,15 @@ class TestbedController:
         config.validate()
         self.config = config
 
+    def _start(self, log: ExperimentLog | None, seed: int, **event):
+        """A Reader on a fresh World for one run, and the run's event sink;
+        the ``experiment`` event that opens the log is written here."""
+        sink = log.write if log is not None else None
+        reader = Reader(World(self.config, seed), event_sink=sink)
+        if sink is not None:
+            sink({"event": "experiment", "seed": seed, **event})
+        return reader, sink
+
     def run_inventory_experiment(
         self,
         antenna_ids: tuple[int, ...],
@@ -215,22 +225,15 @@ class TestbedController:
 
         Antennas run one after another on the same world, so the later
         antenna's rounds start where the earlier one's clock stopped.
-        ``duration_s`` must be finite and within [0, MAX_DURATION_S].
+        ``duration_s`` must be finite and within [0, MAX_DURATION_S], and
+        an unknown antenna id raises GeometryError before anything runs.
         """
         check_duration_s(duration_s)
-        sink = log.write if log is not None else None
-        world = World(self.config, seed)
-        reader = Reader(world, event_sink=sink)
-        if sink is not None:
-            sink(
-                {
-                    "event": "experiment",
-                    "kind": "inventory",
-                    "antennas": list(antenna_ids),
-                    "duration_s": duration_s,
-                    "seed": seed,
-                }
-            )
+        for antenna_id in antenna_ids:
+            self.config.geometry.antenna(antenna_id)
+        reader, sink = self._start(
+            log, seed, kind="inventory", antennas=antenna_ids, duration_s=duration_s
+        )
         rows: list[InventoryRow] = []
         for antenna_id in antenna_ids:
             batches = reader.run_inventory((antenna_id,), duration_s * 1000.0)
@@ -254,25 +257,18 @@ class TestbedController:
         Antenna choice is per tag: best link plus any within the tie
         window.  A tag with no usable link gets an abort row with zero
         frames; an image outside the writable region is refused before
-        any RF happens at all.
+        any RF happens at all.  An unknown tag id raises GeometryError
+        before anything runs.
         """
+        for tag_id in tag_ids:
+            self.config.geometry.tag(tag_id)
         policy = policy or self.config.transfer
-        sink = log.write if log is not None else None
-        world = World(self.config, seed)
-        reader = Reader(world, event_sink=sink)
-        if sink is not None:
-            sink(
-                {
-                    "event": "experiment",
-                    "kind": "reprogram",
-                    "tags": list(tag_ids),
-                    "seed": seed,
-                    "image_bytes": image.byte_count,
-                }
-            )
+        reader, sink = self._start(
+            log, seed, kind="reprogram", tags=tag_ids, image_bytes=image.byte_count
+        )
         results: list[TransferStats] = []
         for tag_id in tag_ids:
-            tag = world.tag(tag_id)
+            tag = reader.world.tag(tag_id)
             antennas = choose_antennas(
                 self.config.geometry,
                 self.config.link,
@@ -325,27 +321,26 @@ def _to_row(obs: TagObservation) -> InventoryRow:
 # -- result files -----------------------------------------------------------
 
 
-def format_inventory_csv(rows: list[InventoryRow]) -> str:
+def _csv_table(header: list[str], rows) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["antenna", "tag_id", "epc", "read_count", "mean_rssi_dbm"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.antenna_id,
-                row.tag_id,
-                row.epc_hex,
-                row.read_count,
-                f"{row.mean_rssi_dbm:.2f}",
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
+def format_inventory_csv(rows: list[InventoryRow]) -> str:
+    return _csv_table(
+        ["antenna", "tag_id", "epc", "read_count", "mean_rssi_dbm"],
+        (
+            [r.antenna_id, r.tag_id, r.epc_hex, r.read_count, f"{r.mean_rssi_dbm:.2f}"]
+            for r in rows
+        ),
+    )
+
+
 def format_reprogram_csv(stats: list[TransferStats]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
+    return _csv_table(
         [
             "tag_id",
             "antennas",
@@ -353,20 +348,19 @@ def format_reprogram_csv(stats: list[TransferStats]) -> str:
             "messages_retried",
             "duration_s",
             "outcome",
-        ]
-    )
-    for row in stats:
-        writer.writerow(
+        ],
+        (
             [
-                row.tag_id,
-                "+".join(str(a) for a in row.antennas),
-                row.messages_sent,
-                row.messages_retried,
-                f"{row.virtual_duration_s:.3f}",
-                row.outcome,
+                s.tag_id,
+                "+".join(str(a) for a in s.antennas),
+                s.messages_sent,
+                s.messages_retried,
+                f"{s.virtual_duration_s:.3f}",
+                s.outcome,
             ]
-        )
-    return out.getvalue()
+            for s in stats
+        ),
+    )
 
 
 def write_inventory_csv(rows: list[InventoryRow], path: str | Path) -> None:
@@ -550,9 +544,7 @@ def _parse_antennas(value) -> tuple[int, ...]:
     if value is None:
         raise ValueError("antennas required")
     if isinstance(value, str):
-        if value in ENVIRONMENTS:
-            return ENVIRONMENTS[value]
-        return tuple(int(part) for part in value.split("+"))
+        return parse_antennas(value)
     return tuple(_expect(v, _INTEGER, "antenna id") for v in value)
 
 

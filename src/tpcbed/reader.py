@@ -66,6 +66,9 @@ from .world import World
 
 READER_MODEL = "tpcbed-sim"
 
+#: Specs a ReaderServer holds at once, added and not yet started.
+MAX_STORED_SPECS = 16
+
 #: One encoder for every event-log line and control reply;
 #: json.dumps(..., sort_keys=True) builds a fresh one per call.
 SORTED_JSON = json.JSONEncoder(sort_keys=True)
@@ -529,8 +532,11 @@ class ReaderServer(TcpServer):
     well-framed message get an error reply and the connection survives;
     unframeable garbage (bad version, absurd length) ends it.
 
-    The server holds the specs clients added.  Starting one consumes it,
-    so a long-lived server holds only the specs added and not yet started.
+    The server holds the specs its client added.  Starting one consumes
+    it, and the connection's end drops the rest, so the server holds only
+    the current client's specs added and not yet started, and at most
+    MAX_STORED_SPECS of them: past that, an ADD of a new id gets
+    BAD_STATE and is not stored.
     """
 
     def __init__(self, reader: Reader, host: str = "127.0.0.1", port: int = 0):
@@ -581,6 +587,8 @@ class ReaderServer(TcpServer):
                             conn.sendall(frame)
         finally:
             conn.close()
+            self.rospecs.clear()
+            self.accessspecs.clear()
             self._busy.release()
 
     def _handle(self, msg: Message) -> list[Message]:
@@ -604,9 +612,14 @@ class ReaderServer(TcpServer):
             except GeometryError as exc:
                 return [ErrorMessage(mid, int(ErrorCode.UNKNOWN_ANTENNA), str(exc))]
             if isinstance(msg, AddROSpec):
-                self.rospecs[msg.rospec_id] = msg
+                specs, spec_id = self.rospecs, msg.rospec_id
             else:
-                self.accessspecs[msg.accessspec_id] = msg
+                specs, spec_id = self.accessspecs, msg.accessspec_id
+            stored = len(self.rospecs) + len(self.accessspecs)
+            if spec_id not in specs and stored >= MAX_STORED_SPECS:
+                text = f"{stored} specs already stored"
+                return [ErrorMessage(mid, int(ErrorCode.BAD_STATE), text)]
+            specs[spec_id] = msg
             return [SuccessMessage(mid)]
         if isinstance(msg, StartROSpec):
             rospec = self.rospecs.pop(msg.rospec_id, None)

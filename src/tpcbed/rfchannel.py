@@ -19,7 +19,7 @@ and nothing below this module draws randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -77,16 +77,10 @@ class TagPlacement:
 
 @dataclass(frozen=True)
 class TestbedGeometry:
-    """Full antenna/tag floor plan.
-
-    ``wall_clearance_m`` records how far the antennas stand from the
-    nearest wall.  It is kept for provenance of the physical setup but
-    feeds no term of the free-space model.
-    """
+    """Full antenna/tag floor plan."""
 
     antennas: tuple[AntennaPort, ...]
     tags: tuple[TagPlacement, ...]
-    wall_clearance_m: float = 0.70
 
     def antenna(self, antenna_id: int) -> AntennaPort:
         for port in self.antennas:
@@ -145,7 +139,6 @@ class LinkBudgetParams:
 
     tx_power_dbm: float = 30.0
     carrier_frequency_hz: float = 915e6
-    antenna_gain_dbi: float = 8.0
     tag_gain_dbi: float = 2.0
     backscatter_loss_db: float = 30.0
     polarization_mismatch_db: float = 3.0
@@ -255,19 +248,19 @@ def incident_power_dbm(
     distance_m: float,
     angle_deg: float,
     neighbors: int = 0,
-    antenna_gain_dbi: float | None = None,
+    *,
+    gain_dbi: float,
 ) -> float:
     """Forward-path power arriving at the tag, clamped at the RSSI floor.
 
     Budget: tx power + antenna gain + tag gain - path loss
     - polarization mismatch - dipole angle loss - near-field penalty
     - coupling penalty.  A value at the floor means no power worth
-    speaking of reaches the tag.
+    speaking of reaches the tag.  ``gain_dbi`` is the antenna port's gain.
     """
-    gain = params.antenna_gain_dbi if antenna_gain_dbi is None else antenna_gain_dbi
     level = (
         params.tx_power_dbm
-        + gain
+        + gain_dbi
         + params.tag_gain_dbi
         - free_space_path_loss_db(distance_m, params.wavelength_m)
         - params.polarization_mismatch_db
@@ -283,7 +276,8 @@ def backscatter_rssi_dbm(
     distance_m: float,
     angle_deg: float,
     neighbors: int = 0,
-    antenna_gain_dbi: float | None = None,
+    *,
+    gain_dbi: float,
 ) -> float:
     """Reflected power back at the reader port, clamped at the RSSI floor.
 
@@ -293,9 +287,8 @@ def backscatter_rssi_dbm(
     The inter-tag coupling penalty is charged once per link, on the
     forward path only; see incident_power_dbm.
     """
-    gain = params.antenna_gain_dbi if antenna_gain_dbi is None else antenna_gain_dbi
     incident = incident_power_dbm(
-        params, distance_m, angle_deg, neighbors, antenna_gain_dbi
+        params, distance_m, angle_deg, neighbors, gain_dbi=gain_dbi
     )
     if incident <= params.rssi_floor_dbm:
         return params.rssi_floor_dbm
@@ -306,7 +299,7 @@ def backscatter_rssi_dbm(
         - params.polarization_mismatch_db
         - dipole_angle_loss_db(angle_deg)
         - _near_field_penalty(params, distance_m)
-        + gain
+        + gain_dbi
         - params.ambient_noise_db
     )
     return max(level, params.rssi_floor_dbm)
@@ -340,8 +333,8 @@ def link_quality(
     distance, angle = resolve_placement(geometry, antenna_id, tag_id)
     gain = geometry.antenna(antenna_id).gain_dbi
     neighbors = neighbor_count(geometry, tag_id, params.coupling_radius_m)
-    incident = incident_power_dbm(params, distance, angle, neighbors, gain)
-    rssi = backscatter_rssi_dbm(params, distance, angle, neighbors, gain)
+    incident = incident_power_dbm(params, distance, angle, neighbors, gain_dbi=gain)
+    rssi = backscatter_rssi_dbm(params, distance, angle, neighbors, gain_dbi=gain)
     return LinkQuality(incident, rssi, delivery_probability(params, rssi))
 
 

@@ -153,12 +153,6 @@ class TransferStats:
     outcome: str
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    ok: bool
-    violations: tuple[tuple[int, int], ...] = ()
-
-
 # -- TI-TXT ------------------------------------------------------------
 
 
@@ -274,12 +268,14 @@ def load_firmware(path: str | Path) -> FirmwareImage:
 # -- placement checks ----------------------------------------------------
 
 
-def validate_regions(image: FirmwareImage, memory_map: MemoryMap) -> RegionReport:
-    """Check that every image byte lands inside the application region.
+def validate_regions(
+    image: FirmwareImage, memory_map: MemoryMap
+) -> tuple[tuple[int, int], ...]:
+    """The (start, end) span of each image segment that leaves the
+    application region; an empty tuple means the image fits.
 
-    Returns a report value rather than raising: overlap with the
-    bootloader (or any byte outside the application region) is an
-    expected pre-flight outcome, not an exception.
+    Not an exception: overlap with the bootloader (or any byte outside
+    the application region) is an expected pre-flight outcome.
     """
     violations = []
     app = memory_map.application
@@ -287,7 +283,7 @@ def validate_regions(image: FirmwareImage, memory_map: MemoryMap) -> RegionRepor
         inside = app.contains(seg.start_address) and app.contains(seg.end_address)
         if not inside:
             violations.append((seg.start_address, seg.end_address))
-    return RegionReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 # -- antenna choice --------------------------------------------------------
@@ -355,12 +351,6 @@ def reprogram(
     bios_retries = policy.bios_retries(slot_ms)
     image = image.word_aligned()
 
-    report = validate_regions(image, memory_map or MemoryMap())
-    if not report.ok:
-        return TransferStats(
-            tag_id, antennas or (), 0, 0, 0.0, OUTCOME_REGION_VIOLATION
-        )
-
     sent = 0
     retried = 0
 
@@ -390,6 +380,9 @@ def reprogram(
             sent * slot_ms / 1000.0,
             outcome,
         )
+
+    if validate_regions(image, memory_map or MemoryMap()):
+        return stats(OUTCOME_REGION_VIOLATION)
 
     # Yank the application.  The budget is however many attempts fit in
     # the abort timeout.

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
-from .config import TestbedConfig
+from .config import TagProfile, TestbedConfig
 from .gen2 import ReachableTag
 from .rfchannel import LinkQuality, link_quality, resolve_placement
 from .tag import ApplicationBehavior, CrfidTag, default_epc
@@ -57,9 +57,6 @@ class VirtualClock:
             raise ValueError("clock cannot run backwards")
         self.now_ms += dt_ms
 
-    def utc(self) -> datetime:
-        return self.epoch + timedelta(milliseconds=self.now_ms)
-
     def iso(self) -> str:
         now_ms = self.now_ms
         # int() raises on NaN and infinity, as timedelta does.
@@ -69,8 +66,8 @@ class VirtualClock:
             # whole microseconds; timedelta would only get there slower.
             day, us = divmod(whole_ms * 1000 + self._epoch_us, _US_PER_DAY)
         else:
-            # timedelta rounds the float milliseconds to whole microseconds
-            # exactly as epoch + timedelta does in utc().
+            # timedelta rounds the float milliseconds to whole microseconds,
+            # exactly as epoch + timedelta would.
             offset = timedelta(milliseconds=now_ms)
             day, us = divmod(
                 offset.seconds * 1_000_000 + offset.microseconds + self._epoch_us,
@@ -101,22 +98,15 @@ class World:
         self.clock = VirtualClock(epoch=config.controller.epoch_datetime())
         self.tags: dict[int, CrfidTag] = {}
         for placement in config.geometry.tags:
-            profile = config.tag_profiles.get(placement.tag_id)
-            behavior = ApplicationBehavior()
-            epc = default_epc(placement.tag_id)
-            if profile is not None:
-                behavior = ApplicationBehavior(
-                    obeys_goto_bios=profile.obeys_goto_bios,
-                    responds_to_inventory=profile.responds_to_inventory,
-                )
-                override = profile.epc_bytes()
-                if override is not None:
-                    epc = override
+            profile = config.tag_profiles.get(placement.tag_id, TagProfile())
             self.tags[placement.tag_id] = CrfidTag(
                 tag_id=placement.tag_id,
-                epc=epc,
+                epc=profile.epc_bytes() or default_epc(placement.tag_id),
                 energy=config.energy,
-                behavior=behavior,
+                behavior=ApplicationBehavior(
+                    obeys_goto_bios=profile.obeys_goto_bios,
+                    responds_to_inventory=profile.responds_to_inventory,
+                ),
             )
         # Placements are static, so every placed (antenna, tag) link is
         # computed once, here.  Each antenna's harvest plan (the floor for

@@ -56,6 +56,26 @@ def test_duration_out_of_range_is_a_usage_error(tmp_path, capsys, duration):
     assert "duration_s must be between 0 and 86400 s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["inventory", "--antenna", "2+9", "--duration", "1"], "unknown antenna id 9"),
+        (["reprogram", "--tags", "1,99", "--firmware", "FW"], "unknown tag id 99"),
+    ],
+)
+def test_unknown_ids_exit_2_before_any_run(tmp_path, capsys, args, error):
+    fw = tmp_path / "app.txt"
+    fw.write_text(FIRMWARE)
+    out, log = tmp_path / "out.csv", tmp_path / "run.jsonl"
+    args = [str(fw) if a == "FW" else a for a in args]
+    rc = main(args + ["--out", str(out), "--log", str(log)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+    assert not out.exists()
+    assert log.read_bytes() == b""
+
+
 def test_inventory_command(tmp_path, capsys):
     out = tmp_path / "inv.csv"
     log = tmp_path / "inv.jsonl"

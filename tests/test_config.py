@@ -1,8 +1,12 @@
 """Configuration tree: defaults, YAML overlay, and validation errors."""
 
+import dataclasses
+import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+import yaml
 
 from tpcbed.config import (
     ConfigError,
@@ -13,7 +17,15 @@ from tpcbed.config import (
     default_config,
     load_config,
 )
-from tpcbed.rfchannel import default_geometry
+from tpcbed.rfchannel import AntennaPort, TagPlacement, default_geometry
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
+ANTENNA = {"antenna_id": 1, "gain_dbi": 6.0}
+TAG = {"tag_id": 0, "links": {1: [0.3, 0.0]}}
+
+
+def _geometry(antenna=ANTENNA, tag=TAG):
+    return {"geometry": {"antennas": [antenna], "tags": [tag]}}
 
 
 class TestDefaults:
@@ -91,6 +103,48 @@ class TestOverlay:
         with pytest.raises(ConfigError):
             config_from_mapping({"tags": {"1": {"obeys_goto_bios": "no"}}})
 
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"inventory": {"q_initial": True}}, "inventory.q_initial"),
+            ({"link": {"tx_power_dbm": True}}, "link.tx_power_dbm"),
+            ({"transfer": {"max_retries": float("nan")}}, "transfer.max_retries"),
+            ({"controller": {"host": 127}}, "controller.host"),
+            ({"tags": {1: {"obeys_goto_bios": 1}}}, "tags.1.obeys_goto_bios"),
+            (_geometry({**ANTENNA, "antenna_id": 1.7}), "antennas[0].antenna_id"),
+            (_geometry({**ANTENNA, "gain_dbi": "6"}), "antennas[0].gain_dbi"),
+            (_geometry({**ANTENNA, "label": 5}), "antennas[0].label"),
+            (_geometry({"gain_dbi": 6.0}), "geometry.antennas[0] needs ['antenna_id']"),
+            (_geometry(tag={**TAG, "tag_id": True}), "geometry.tags[0].tag_id"),
+            (_geometry(tag={**TAG, "links": {1: ["0.3", 0]}}), "tags[0].links.1"),
+            (_geometry(tag={**TAG, "links": {1: [0.3]}}), "geometry.tags[0].links.1"),
+            (_geometry(tag={**TAG, "links": [0.3, 0]}), "geometry.tags[0].links"),
+            (
+                _geometry(tag={**TAG, "rail_position_m": "0.1"}),
+                "geometry.tags[0].rail_position_m",
+            ),
+            (_geometry(tag={"tag_id": 0}), "geometry.tags[0] needs ['links']"),
+            ({"geometry": {"antennas": ANTENNA}}, "geometry.antennas must be a list"),
+        ],
+    )
+    def test_wrong_types_are_refused_with_their_key_path(self, raw, path):
+        # One rule for every value: booleans are not numbers, numbers and
+        # quoted numbers are not each other, and a missing id is no KeyError.
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config_from_mapping(raw)
+
+    def test_geometry_numbers_land_as_their_types(self):
+        cfg = config_from_mapping(
+            _geometry(
+                {"antenna_id": 1, "gain_dbi": 6},
+                {**TAG, "links": {1: [1, 0]}, "rail_position_m": 0},
+            )
+        )
+        (port,), (tag,) = cfg.geometry.antennas, cfg.geometry.tags
+        assert port == AntennaPort(1, 6.0) and type(port.gain_dbi) is float
+        assert tag == TagPlacement(0, {1: (1.0, 0.0)}, 0.0)
+        assert [type(v) for v in (*tag.links[1], tag.rail_position_m)] == [float] * 3
+
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"link": [1, 2]})
@@ -122,7 +176,6 @@ class TestOverlay:
             {
                 "geometry": {
                     "angle_preset": "reversed",
-                    "wall_clearance_m": 0.5,
                     "tags": [
                         {"tag_id": 0, "links": {"1": [0.2, 0.0]}},
                         {
@@ -134,7 +187,6 @@ class TestOverlay:
                 }
             }
         )
-        assert cfg.geometry.wall_clearance_m == 0.5
         assert cfg.geometry.tag_ids() == (0, 1)
         assert cfg.geometry.tags[1].links[1] == (0.4, 15.0)
 
@@ -191,10 +243,24 @@ class TestLoadConfig:
     def test_shipped_default_file_matches_builtins(self):
         # the example file in configs/ spells out every default; drift
         # between it and the dataclass defaults would mislead users
-        from pathlib import Path
+        assert load_config(SHIPPED) == default_config()
+        raw = yaml.safe_load(SHIPPED.read_text())
+        cfg = default_config()
+        for name in ("link", "energy", "inventory", "transfer", "controller"):
+            fields = {f.name for f in dataclasses.fields(getattr(cfg, name))}
+            assert set(raw[name]) == fields, name
 
-        shipped = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
-        assert load_config(shipped) == default_config()
+    @pytest.mark.parametrize(
+        "text",
+        ["link:\n  antenna_gain_dbi: 8.0\n", "geometry:\n  wall_clearance_m: 0.7\n"],
+    )
+    def test_retired_keys_are_refused(self, tmp_path, text):
+        # Neither key ever changed a run: the gain of each antenna is its
+        # port's gain_dbi, and no term of the model read the clearance.
+        path = tmp_path / "old.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(path)
 
 
 class TestValidation:

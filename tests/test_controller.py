@@ -19,11 +19,12 @@ from tpcbed.controller import (
     SessionManager,
     TestbedBusy as BusyError,
     TestbedController as Controller,
-    antennas_for_environment,
     format_inventory_csv,
     format_reprogram_csv,
+    parse_antennas,
     write_inventory_csv,
 )
+from tpcbed.rfchannel import GeometryError
 from tpcbed.wisent import FirmwareImage, FirmwareSegment, TransferStats, parse_ti_txt
 
 SMALL_FIRMWARE = "@4400\n01 02 03 04 05 06 07 08\nq\n"
@@ -79,7 +80,7 @@ class TestSessionManager:
         mgr.validate(session.token)
         clock.now = 450.0  # past the original expiry, inside the renewed one
         renewed = mgr.validate(session.token)
-        assert renewed.acquired_at_s == 0.0
+        assert renewed.expires_at_s == 750.0
         clock.now = 751.0
         with pytest.raises(InvalidToken):
             mgr.validate(session.token)
@@ -163,14 +164,14 @@ class TestExperimentLog:
 
 class TestEnvironments:
     def test_known_names(self):
-        assert antennas_for_environment("single-tag") == (1,)
-        assert antennas_for_environment("multi-distance") == (2,)
-        assert antennas_for_environment("multi-angle") == (3,)
-        assert antennas_for_environment("dual") == (2, 3)
+        assert parse_antennas("single-tag") == (1,)
+        assert parse_antennas("multi-distance") == (2,)
+        assert parse_antennas("multi-angle") == (3,)
+        assert parse_antennas("dual") == (2, 3)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            antennas_for_environment("anechoic-chamber")
+            parse_antennas("anechoic-chamber")
 
 
 class TestInventoryExperiment:
@@ -209,6 +210,16 @@ class TestInventoryExperiment:
             with pytest.raises(ValueError, match="duration_s"):
                 controller.run_inventory_experiment((2,), duration_s, log=log)
         assert path.read_bytes() == b""  # refused before anything ran
+
+    @pytest.mark.parametrize("antenna_ids", [(9,), (2, 9)])
+    def test_unknown_antenna_refused_before_anything_runs(self, antenna_ids, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            with pytest.raises(GeometryError, match="unknown antenna id 9"):
+                Controller(default_config()).run_inventory_experiment(
+                    antenna_ids, 5.0, log=log
+                )
+        assert path.read_bytes() == b""
 
     def test_zero_duration_runs_no_rounds(self):
         rows = Controller(default_config()).run_inventory_experiment((2,), 0.0)
@@ -262,6 +273,15 @@ class TestReprogramExperiment:
         assert stats[0].virtual_duration_s == pytest.approx(
             config.transfer.abort_timeout_ms / 1000.0
         )
+
+    def test_unknown_tag_refused_before_anything_runs(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            with pytest.raises(GeometryError, match="unknown tag id 99"):
+                Controller(default_config()).run_reprogram_experiment(
+                    (1, 99), parse_ti_txt(SMALL_FIRMWARE), log=log
+                )
+        assert path.read_bytes() == b""  # tag 1's transfer never ran
 
     def test_bootloader_image_refused_without_rf(self, tmp_path):
         controller = Controller(default_config())
@@ -385,6 +405,27 @@ class TestControlProtocol:
             assert replies[1] == replies[0]
             assert replies[2] == replies[0]
             assert {r["antenna"] for r in replies[0]["rows"]} <= {2, 3}
+
+    @pytest.mark.parametrize(
+        "request_fields",
+        [
+            {"cmd": "inventory", "antennas": "2+9", "duration_s": 1.0},
+            {"cmd": "reprogram", "tags": [1, 99], "firmware_text": SMALL_FIRMWARE},
+        ],
+        ids=["antenna", "tag"],
+    )
+    def test_unknown_ids_refused_before_any_run(
+        self, server, monkeypatch, request_fields
+    ):
+        built = []
+        monkeypatch.setattr("tpcbed.controller.World", lambda *a: built.append(a))
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            reply = client.call({**request_fields, "token": token})
+            assert reply["ok"] is False and reply["error"] == "bad-request"
+            assert "unknown" in reply["detail"]
+            assert built == []  # no world was built, so nothing ran
+            assert client.release(token) == {"ok": True}
 
     def test_bad_requests(self, server):
         with ControlClient(server.host, server.port) as client:

@@ -37,6 +37,7 @@ from tpcbed.llrp import (
 )
 from tpcbed.reader import (
     MAX_DURATION_S,
+    MAX_STORED_SPECS,
     OP_HANDLERS,
     OP_KIND_NAMES,
     Reader,
@@ -986,6 +987,68 @@ class TestServerClient:
                     with pytest.raises(ReaderError) as err:
                         client.request(StartROSpec(client._take_id(), spec_id))
                     assert err.value.error.code == 2
+
+    def test_stored_specs_are_capped(self):
+        # Specs added and never started are held by the server; past the
+        # cap an ADD of a new id is refused and stores nothing, while the
+        # connection keeps serving.
+        assert MAX_STORED_SPECS == 16
+        with ReaderServer(make_reader()) as server:
+            with ReaderClient(server.host, server.port) as client:
+
+                def add_access(spec_id, ops=(BlockWriteOp(0x4400, (1, 2)),)):
+                    mid = client._take_id()
+                    return client.request(
+                        AddAccessSpec(mid, spec_id, bytes(12), (), 0, ops)
+                    )
+
+                client.request(AddROSpec(client._take_id(), 1, (2,), 0, "end", 0))
+                for spec_id in range(2, 17):
+                    add_access(spec_id)
+                for add_17th in (
+                    lambda: add_access(99),
+                    lambda: client.request(
+                        AddROSpec(client._take_id(), 99, (2,), 0, "end", 0)
+                    ),
+                ):
+                    with pytest.raises(ReaderError) as err:
+                        add_17th()
+                    assert err.value.error.code == ErrorCode.BAD_STATE
+                assert 99 not in server.accessspecs and 99 not in server.rospecs
+                client.keepalive()  # the connection still answers
+                # Replacing a stored id still succeeds, and starting a spec
+                # frees its place.
+                add_access(2, ops=())
+                assert server.accessspecs[2].ops == ()
+                client.request(StartROSpec(client._take_id(), 2))
+                add_access(99)
+                assert len(server.rospecs) + len(server.accessspecs) == 16
+
+    def test_stored_specs_end_with_their_connection(self):
+        # Specs a client abandons must not count against the next client.
+        with ReaderServer(make_reader()) as server:
+            with ReaderClient(server.host, server.port) as first:
+                for spec_id in range(1, MAX_STORED_SPECS + 1):
+                    first.request(
+                        AddROSpec(first._take_id(), spec_id, (2,), 0, "end", 0)
+                    )
+            deadline = time.time() + 5.0
+            while True:
+                try:
+                    with ReaderClient(server.host, server.port) as second:
+                        second.keepalive()
+                        second.request(
+                            AddROSpec(second._take_id(), 99, (2,), 0, "end", 0)
+                        )
+                        assert list(server.rospecs) == [99]
+                        with pytest.raises(ReaderError) as err:
+                            second.request(StartROSpec(second._take_id(), 1))
+                        assert err.value.error.code == 2
+                    break
+                except ReaderError as exc:
+                    if exc.error.code != ErrorCode.BUSY or time.time() > deadline:
+                        raise
+                    time.sleep(0.02)
 
     def test_stop_rospec_known_and_unknown(self):
         with ReaderServer(make_reader()) as server:

@@ -223,22 +223,22 @@ class TestChannelFunctions:
             )
 
     def test_doubling_far_field_distance_costs_12db(self):
-        lo = backscatter_rssi_dbm(PARAMS, 0.2, 0.0)
-        hi = backscatter_rssi_dbm(PARAMS, 0.4, 0.0)
+        lo = backscatter_rssi_dbm(PARAMS, 0.2, 0.0, gain_dbi=8.0)
+        hi = backscatter_rssi_dbm(PARAMS, 0.4, 0.0, gain_dbi=8.0)
         assert lo - hi == pytest.approx(40.0 * math.log10(2.0), abs=1e-9)
 
     def test_coupling_charged_once_per_link(self):
         # Each neighbor costs the link exactly its per-neighbor penalty,
         # not double; the return traversal does not re-charge it.
-        base = backscatter_rssi_dbm(PARAMS, 0.2, 0.0, neighbors=0)
-        one = backscatter_rssi_dbm(PARAMS, 0.2, 0.0, neighbors=1)
-        two = backscatter_rssi_dbm(PARAMS, 0.2, 0.0, neighbors=2)
+        base = backscatter_rssi_dbm(PARAMS, 0.2, 0.0, neighbors=0, gain_dbi=8.0)
+        one = backscatter_rssi_dbm(PARAMS, 0.2, 0.0, neighbors=1, gain_dbi=8.0)
+        two = backscatter_rssi_dbm(PARAMS, 0.2, 0.0, neighbors=2, gain_dbi=8.0)
         assert base - one == pytest.approx(PARAMS.coupling_penalty_per_neighbor_db)
         assert one - two == pytest.approx(PARAMS.coupling_penalty_per_neighbor_db)
 
     def test_near_field_penalty_charged_both_traversals(self):
-        just_inside = backscatter_rssi_dbm(PARAMS, 0.149999, 0.0)
-        just_outside = backscatter_rssi_dbm(PARAMS, 0.150001, 0.0)
+        just_inside = backscatter_rssi_dbm(PARAMS, 0.149999, 0.0, gain_dbi=8.0)
+        just_outside = backscatter_rssi_dbm(PARAMS, 0.150001, 0.0, gain_dbi=8.0)
         step = (just_outside - just_inside) + 40.0 * math.log10(0.149999 / 0.150001)
         assert step == pytest.approx(2.0 * PARAMS.near_field_penalty_db, abs=1e-3)
 
@@ -273,8 +273,8 @@ class TestInvariants:
     def test_rssi_never_exceeds_incident_and_stays_above_floor(
         self, distance, angle, neighbors
     ):
-        incident = incident_power_dbm(PARAMS, distance, angle, neighbors)
-        rssi = backscatter_rssi_dbm(PARAMS, distance, angle, neighbors)
+        incident = incident_power_dbm(PARAMS, distance, angle, neighbors, gain_dbi=8.0)
+        rssi = backscatter_rssi_dbm(PARAMS, distance, angle, neighbors, gain_dbi=8.0)
         assert rssi >= PARAMS.rssi_floor_dbm
         assert incident >= PARAMS.rssi_floor_dbm
         assert rssi <= incident  # two extra traversal losses
