@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import ConfigError, load_config
 from .controller import (
     ControlClient,
     ControlServer,
@@ -30,7 +30,7 @@ from .controller import (
 )
 from .reader import Reader, ReaderServer
 from .rfchannel import GeometryError
-from .wisent import TransferStats, load_firmware
+from .wisent import TiTxtError, TransferStats, load_firmware
 from .world import World
 
 
@@ -292,7 +292,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except GeometryError as exc:  # an antenna or tag id the bench lacks
+    except (ConfigError, TiTxtError, GeometryError, OSError) as exc:
+        # A file the loaders refuse or cannot read, or an antenna or tag id
+        # the bench lacks.  Inputs load before the log opens, so a refused
+        # file leaves no log behind.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -140,6 +140,17 @@ def _coerce(value: Any, default: Any, path: str) -> Any:
     return kind(value)
 
 
+def _id_key(key: Any, path: str) -> int:
+    """A mapping key naming an antenna or tag: an int, or the text of one
+    (JSON keys are text), or a ConfigError naming ``path``."""
+    if type(key) is str:
+        try:
+            return int(key)
+        except ValueError:
+            raise ConfigError(f"bad {path}: expected an integer id") from None
+    return _coerce(key, 0, path)
+
+
 def _overlay(instance: Any, section: Mapping[str, Any], name: str) -> Any:
     """Apply a flat mapping onto a dataclass, rejecting unknown keys and
     values of the wrong type."""
@@ -198,8 +209,8 @@ def _geometry_from(section: Mapping[str, Any]) -> TestbedGeometry:
         for path, entry in _entries(section, "tags", "tag_id", "links"):
             where = f"{path}.links"
             entry["links"] = {
-                int(antenna_id): _link(pair, f"{where}.{antenna_id}")
-                for antenna_id, pair in _require_mapping(entry["links"], where).items()
+                _id_key(key, f"{where}.{key}"): _link(pair, f"{where}.{key}")
+                for key, pair in _require_mapping(entry["links"], where).items()
             }
             if entry.get("rail_position_m") is not None:
                 entry["rail_position_m"] = _coerce(
@@ -228,7 +239,7 @@ def config_from_mapping(raw: Mapping[str, Any]) -> TestbedConfig:
         profiles = {}
         for key, entry in _require_mapping(raw.pop("tags"), "tags").items():
             path = f"tags.{key}"
-            profiles[int(key)] = _overlay(
+            profiles[_id_key(key, path)] = _overlay(
                 TagProfile(), _require_mapping(entry, path), path
             )
         cfg = dataclasses.replace(cfg, tag_profiles=profiles)
@@ -244,7 +255,14 @@ def load_config(path: str | Path | None = None) -> TestbedConfig:
     if path is None:
         return default_config()
     text = Path(path).read_text()
-    raw = yaml.safe_load(text)
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # one line: the parser's own text spans several
+        mark = getattr(exc, "problem_mark", None)
+        where = "" if mark is None else f" at line {mark.line + 1}"
+        problem = getattr(exc, "problem", None) or exc
+        raise ConfigError(f"{path}: bad YAML{where}: {problem}") from exc
     if raw is None:
         return default_config()
     if not isinstance(raw, Mapping):

@@ -125,9 +125,14 @@ class RoundResult:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AccessResult:
-    """Outcome of one retried access operation against one tag."""
+    """Outcome of one retried access operation against one tag.
+
+    Not frozen: one is built per op on each side of the wire, and a
+    frozen dataclass's ``__init__`` costs about four times as much.  No
+    code mutates or hashes one.
+    """
 
     kind: str
     target_epc: bytes
@@ -163,13 +168,15 @@ def adjust_q(q_fp: float, outcome_kind: SlotKind, step: float = 0.5) -> float:
 def _after_empty_slots(q_fp: float, count: int, step: float) -> float:
     """Q after ``count`` empty slots in a row.
 
-    Each empty slot lowers Q by one step; once a step no longer moves it
-    (the floor), the remaining empty slots cannot either.
+    Each empty slot lowers Q by one step, as ``adjust_q`` does; once a
+    step no longer moves it (the floor), the remaining empty slots cannot
+    either.
     """
     for _ in range(count):
-        before, q_fp = q_fp, adjust_q(q_fp, SlotKind.EMPTY, step)
-        if q_fp == before:
+        after = min(max(q_fp - step, _Q_FLOOR), _Q_CEILING)
+        if after == q_fp:
             break
+        q_fp = after
     return q_fp
 
 
@@ -198,11 +205,19 @@ def run_inventory_round(
     n_slots = 1 << rounded_q(q_fp)
     step = config.q_fp_step
 
+    # rng.randrange(n_slots), spelled out: Random._randbelow draws
+    # n.bit_length() bits and rejects values >= n.  Same draws, same RNG
+    # state after (tests/test_gen2.py pins this against randrange).
     draws: dict[int, list[ReachableTag]] = {}
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    bits = n_slots.bit_length()
     for tag in reachable_tags:
-        draws.setdefault(randrange(n_slots), []).append(tag)
+        slot_index = getrandbits(bits)
+        while slot_index >= n_slots:
+            slot_index = getrandbits(bits)
+        draws.setdefault(slot_index, []).append(tag)
 
+    random = rng.random
     singulations = []
     collisions = []
     next_slot = 0
@@ -211,7 +226,7 @@ def run_inventory_round(
             q_fp = _after_empty_slots(q_fp, slot_index - next_slot, step)
         next_slot = slot_index + 1
         replying = [
-            tag for tag in draws[slot_index] if rng.random() < tag.delivery_probability
+            tag for tag in draws[slot_index] if random() < tag.delivery_probability
         ]
         # adjust_q's step, inline: this runs for every occupied slot
         if len(replying) == 1:

@@ -113,7 +113,9 @@ class ReadOp:
     word_count: int
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen, like AccessResult and for the same reason: one is built per
+# word chunk on each side of the wire.  No code mutates or hashes one.
+@dataclass(slots=True)
 class BlockWriteOp:
     kind: ClassVar[str] = OP_KIND_NAMES[OpKind.BLOCK_WRITE]
     start_address: int

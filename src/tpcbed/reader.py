@@ -338,11 +338,44 @@ class Reader:
         if sink is not None:
             target_hex = target_epc.hex()
             antennas_json = SORTED_JSON.encode(list(antennas))
-        # An antenna whose harvest stepped no tag stays quiet until some
-        # harvest steps one (see World.harvest_all); a delivered command
-        # changes no energy.  ``responsive`` is only read again after a
-        # harvest that stepped a tag or a dispatch.
-        quiet: set[int] = set()
+        # A harvest on the same turn from the same energies ends in the
+        # same energies (see World.harvest_all), and a delivered command
+        # changes no energy.  So each energy state the call reaches gets an
+        # id, and per turn ``replays`` maps a state id to the next one and
+        # the (tag, energy) writes that lead there: only a (turn, state)
+        # not seen before is harvested.  ``responsive`` is only read again
+        # after a write or a dispatch.
+        tags = list(world.tags.values())
+        state_ids: dict[tuple[float, ...], int] = {}
+        states: list[tuple[float, ...]] = []
+        replays: list[dict[int, tuple[int, list]]] = [{} for _ in antennas]
+
+        def state_id(energies: tuple[float, ...]) -> int:
+            found = state_ids.setdefault(energies, len(states))
+            if found == len(states):
+                states.append(energies)
+            return found
+
+        def harvest(turn: int, state: int | None) -> tuple[int, list]:
+            if state is None:  # the call's first harvest
+                state = state_id(tuple([t.energy_uj for t in tags]))
+            before = after = states[state]
+            writes = []
+            browned_out = False
+            if harvest_all(antennas[turn], slot_ms):
+                after = tuple([t.energy_uj for t in tags])
+                for t, now_uj, was_uj in zip(tags, after, before):
+                    if now_uj != was_uj:
+                        writes.append((t, now_uj))
+                        browned_out = browned_out or now_uj == 0.0 < was_uj
+            step = (state_id(after), writes)
+            # A brownout also reset a mode and counted itself, which
+            # replaying the energy writes would not do.
+            if not browned_out:
+                replays[turn][state] = step
+            return step
+
+        state: int | None = None
         responsive = tag is not None and tag.responsive
 
         for op in ops:
@@ -356,12 +389,13 @@ class Reader:
             data: tuple[int, ...] = ()
             for attempt in range(max_retries + 1):
                 turn = attempt % len(antennas)
-                if turn not in quiet:
-                    if harvest_all(antennas[turn], slot_ms):
-                        quiet.clear()
-                        responsive = tag is not None and tag.responsive
-                    else:
-                        quiet.add(turn)
+                step = replays[turn].get(state) or harvest(turn, state)
+                state, writes = step
+                if writes:
+                    # after a fresh harvest these are in place already
+                    for written, energy_uj in writes:
+                        written.energy_uj = energy_uj
+                    responsive = tag is not None and tag.responsive
                 clock.advance(slot_ms)
                 attempts += 1
 
@@ -428,7 +462,7 @@ def _commit(op: CommitOp, tag) -> TagAck | None:
 #: an op type.
 OP_HANDLERS = {
     ReadOp: _read,
-    BlockWriteOp: lambda op, tag: tag.on_write_words(op.start_address, list(op.words)),
+    BlockWriteOp: lambda op, tag: tag.on_write_words(op.start_address, op.words),
     GotoBiosOp: lambda op, tag: tag.on_goto_bios(),
     ChecksumOp: _checksum,
     CommitOp: _commit,

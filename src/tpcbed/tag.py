@@ -18,8 +18,8 @@ therefore immutable through the wireless write path, full stop.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 WORD_BYTES = 2
 MEMORY_SPAN = 0x10000
@@ -238,7 +238,7 @@ class CrfidTag:
             return ACK
         return None
 
-    def on_write_words(self, start_address: int, words: list[int]) -> TagAck:
+    def on_write_words(self, start_address: int, words: Sequence[int]) -> TagAck:
         """Write 16-bit words little-endian starting at start_address.
 
         Only legal in bios mode and only inside the application region;
@@ -249,22 +249,24 @@ class CrfidTag:
         if not words:
             return ACK
         end = start_address + len(words) * WORD_BYTES - 1
+        memory = self.memory
+        application = memory.application
+        bootloader = memory.bootloader
+        # The application region lies inside the address span, so a range
+        # inside it is inside the span too.
         if (
-            start_address < 0
-            or end >= MEMORY_SPAN
-            or self.memory.bootloader.overlaps(start_address, end)
-            or not (
-                self.memory.application.contains(start_address)
-                and self.memory.application.contains(end)
-            )
+            start_address < application.start
+            or end > application.end
+            or (start_address <= bootloader.end and end >= bootloader.start)
+            or min(words) < 0
+            or max(words) > 0xFFFF
         ):
             return NACK_REGION
-        if any(not 0 <= word <= 0xFFFF for word in words):
-            return NACK_REGION
-        for i, word in enumerate(words):
-            offset = start_address + i * WORD_BYTES
-            self.memory.contents[offset] = word & 0xFF
-            self.memory.contents[offset + 1] = word >> 8
+        contents = memory.contents
+        for word in words:
+            contents[start_address] = word & 0xFF
+            contents[start_address + 1] = word >> 8
+            start_address += WORD_BYTES
         return ACK
 
     def read_bytes(self, start: int, length: int) -> bytes:

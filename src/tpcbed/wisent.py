@@ -250,17 +250,28 @@ def load_firmware(path: str | Path) -> FirmwareImage:
     """Read a TI-TXT file plus its optional behavior sidecar.
 
     The sidecar is JSON next to the image, named <image>.behavior.json,
-    holding obeys_goto_bios / responds_to_inventory booleans.
+    holding obeys_goto_bios / responds_to_inventory booleans.  A sidecar
+    that is no JSON object, or a flag that is not exactly a JSON boolean,
+    raises a ConfigError naming the file (and the key).
     """
+    from .config import ConfigError, _coerce  # config imports this module
+
     path = Path(path)
     image = parse_ti_txt(path.read_text())
     sidecar = behavior_sidecar_path(path)
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_text())
+        except ValueError as exc:
+            raise ConfigError(f"bad {sidecar}: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"bad {sidecar}: expected a JSON object")
         image = replace(
             image,
-            obeys_goto_bios=bool(meta.get("obeys_goto_bios", True)),
-            responds_to_inventory=bool(meta.get("responds_to_inventory", True)),
+            **{
+                key: _coerce(meta.get(key, True), True, f"{key} in {sidecar}")
+                for key in ("obeys_goto_bios", "responds_to_inventory")
+            },
         )
     return image
 

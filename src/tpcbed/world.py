@@ -21,7 +21,6 @@ from .gen2 import ReachableTag
 from .rfchannel import LinkQuality, link_quality, resolve_placement
 from .tag import ApplicationBehavior, CrfidTag, default_epc
 
-_US_PER_DAY = 86_400_000_000
 # Zero-padded digits by lookup: a format spec costs more than the rest of
 # iso() put together.
 _TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))
@@ -38,13 +37,16 @@ class VirtualClock:
 
     epoch: datetime
     now_ms: float = 0.0
-    # iso() runs once per logged event and a new second starts every few
-    # events, so only the date text is cached; the time of day is integer
-    # arithmetic on microseconds since the epoch's midnight.  The epoch is
-    # fixed for the clock's life.
+    # iso() runs once per logged event and many events share a second, so
+    # the text up to the second's "." is cached, as is the date text; a
+    # stamp adds only its milliseconds.  Time of day is integer arithmetic
+    # on microseconds since the epoch's midnight.  The epoch is fixed for
+    # the clock's life.
     _epoch_us: int = field(init=False, repr=False, compare=False)
     _day: int | None = field(default=None, init=False, repr=False, compare=False)
     _day_text: str = field(default="", init=False, repr=False, compare=False)
+    _second: int | None = field(default=None, init=False, repr=False, compare=False)
+    _second_text: str = field(default="", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         epoch = self.epoch
@@ -64,28 +66,29 @@ class VirtualClock:
         if whole_ms == now_ms:
             # Whole milliseconds (every stamp with whole-ms slots) are
             # whole microseconds; timedelta would only get there slower.
-            day, us = divmod(whole_ms * 1000 + self._epoch_us, _US_PER_DAY)
+            us = whole_ms * 1000
         else:
             # timedelta rounds the float milliseconds to whole microseconds,
             # exactly as epoch + timedelta would.
             offset = timedelta(milliseconds=now_ms)
-            day, us = divmod(
-                offset.seconds * 1_000_000 + offset.microseconds + self._epoch_us,
-                _US_PER_DAY,
+            seconds = offset.days * 86_400 + offset.seconds
+            us = seconds * 1_000_000 + offset.microseconds
+        second, us = divmod(us + self._epoch_us, 1_000_000)
+        if second != self._second:
+            day, second_of_day = divmod(second, 86_400)
+            if day != self._day:
+                midnight = self.epoch.replace(hour=0, minute=0, second=0, microsecond=0)
+                # strftime, not isoformat: %Y leaves years below 1000 unpadded
+                self._day_text = (midnight + timedelta(days=day)).strftime("%Y-%m-%dT")
+                self._day = day
+            minutes, seconds = divmod(second_of_day, 60)
+            hours, minutes = divmod(minutes, 60)
+            self._second_text = (
+                f"{self._day_text}{_TWO_DIGITS[hours]}:"
+                f"{_TWO_DIGITS[minutes]}:{_TWO_DIGITS[seconds]}."
             )
-            day += offset.days
-        if day != self._day:
-            midnight = self.epoch.replace(hour=0, minute=0, second=0, microsecond=0)
-            # strftime, not isoformat: %Y leaves years below 1000 unpadded
-            self._day_text = (midnight + timedelta(days=day)).strftime("%Y-%m-%dT")
-            self._day = day
-        seconds, millis = divmod(us // 1000, 1000)
-        minutes, seconds = divmod(seconds, 60)
-        hours, minutes = divmod(minutes, 60)
-        return (
-            f"{self._day_text}{_TWO_DIGITS[hours]}:{_TWO_DIGITS[minutes]}:"
-            f"{_TWO_DIGITS[seconds]}.{_THREE_DIGITS[millis]}Z"
-        )
+            self._second = second
+        return f"{self._second_text}{_THREE_DIGITS[us // 1000]}Z"
 
 
 class World:
@@ -175,9 +178,18 @@ class World:
         The reader's loops rest on this.  Within one reader call only
         harvests change a tag's energy (and, by a brownout, its mode), and
         only a delivered command changes its mode or behaviour; inventory
-        delivers none.  So once an antenna's harvest steps no tag, the
-        antenna stays quiet: harvesting it again, and rebuilding its
-        ``reachable`` list, can be skipped until some harvest steps a tag.
+        delivers none.  A harvest's effect depends only on the antenna,
+        ``dt_ms`` and the energies it starts from, never on modes.  So:
+
+        - once an antenna's harvest steps no tag, the antenna stays quiet:
+          harvesting it again, and rebuilding its ``reachable`` list, can
+          be skipped until some harvest steps a tag;
+        - more generally, a harvest on the same antenna for the same
+          ``dt_ms`` from bit-identical energies ends in the energies it
+          ended in before, so its energy writes can be replayed instead,
+          unless it browned a tag out (energy 0.0 from above), which also
+          reset that tag's mode and counted a brownout.
+
         The state is kept per call, never on the World, because a write
         to a tag's fields between calls would go unseen.
         """

@@ -195,6 +195,39 @@ def inventory_round_oracle(reachable_tags, config, rng, q_fp, start_time_ms=0.0)
     return tuple(outcomes), q_fp, n_slots * config.slot_duration_ms
 
 
+def write_words_oracle(tag, start_address, words):
+    """The tag's original word write, every check spelled out: the reason
+    it refuses (None when it writes), and the flash after.
+
+    Mode first, then an empty write acks, then the span, the bootloader,
+    the application region and each word's range, and only then a byte
+    at a time.  Returns (ok, reason) and leaves ``tag`` as the write does.
+    """
+    from tpcbed.tag import MEMORY_SPAN, TagMode
+
+    if tag.mode is not TagMode.BIOS:
+        return False, "wrong-mode"
+    if not words:
+        return True, None
+    end = start_address + 2 * len(words) - 1
+    memory = tag.memory
+    inside = all(
+        memory.application.contains(address) for address in (start_address, end)
+    )
+    if (
+        start_address < 0
+        or end >= MEMORY_SPAN
+        or memory.bootloader.overlaps(start_address, end)
+        or not inside
+        or not all(0 <= word <= 0xFFFF for word in words)
+    ):
+        return False, "region-violation"
+    for i, word in enumerate(words):
+        memory.contents[start_address + 2 * i] = word % 256
+        memory.contents[start_address + 2 * i + 1] = word // 256
+    return True, None
+
+
 def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
     """One access call walked attempt by attempt, nothing carried over.
 

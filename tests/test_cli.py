@@ -76,6 +76,81 @@ def test_unknown_ids_exit_2_before_any_run(tmp_path, capsys, args, error):
     assert log.read_bytes() == b""
 
 
+INVENTORY = ["inventory", "--antenna", "2", "--duration", "1"]
+REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
+
+
+@pytest.mark.parametrize(
+    "args, files, error",
+    [
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "inventory: {q_initial: true}\n"},
+            "error: bad inventory.q_initial: expected int, got True",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "tags: {abc: {}}\n"},
+            "error: bad tags.abc: expected an integer id",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "inventory: [1\n"},
+            "error: CFG: bad YAML at line 2: expected ',' or ']', but got '<stream end>'",
+        ),
+        (
+            REPROGRAM,
+            {"app.txt": "@4400\nZZ\nq\n"},
+            "error: line 2: bad byte token 'ZZ'",
+        ),
+        (
+            REPROGRAM,
+            {"app.txt": FIRMWARE, "app.txt.behavior.json": '{"obeys_goto_bios": "false"}'},
+            "error: bad obeys_goto_bios in FW.behavior.json: expected bool, got 'false'",
+        ),
+        (
+            REPROGRAM + ["--connect", "127.0.0.1:9"],
+            {"app.txt": FIRMWARE, "app.txt.behavior.json": "[true]"},
+            "error: bad FW.behavior.json: expected a JSON object",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {},
+            "error: [Errno 2] No such file or directory: 'CFG'",
+        ),
+        (
+            REPROGRAM,
+            {},
+            "error: [Errno 2] No such file or directory: 'FW'",
+        ),
+    ],
+    ids=[
+        "config-value-type",
+        "config-id-key",
+        "config-yaml-syntax",
+        "ti-txt",
+        "sidecar-flag",
+        "sidecar-root-remote",
+        "config-missing",
+        "firmware-missing",
+    ],
+)
+def test_refused_inputs_exit_2_with_one_line(tmp_path, capsys, args, files, error):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    names = {"CFG": str(tmp_path / "cfg.yaml"), "FW": str(tmp_path / "app.txt")}
+    out, log = tmp_path / "out.csv", tmp_path / "run.jsonl"
+    log_args = [] if "--connect" in args else ["--log", str(log)]
+    rc = main([names.get(a, a) for a in args] + ["--out", str(out)] + log_args)
+    assert rc == 2
+    captured = capsys.readouterr()
+    for placeholder, path in names.items():
+        error = error.replace(placeholder, path)
+    assert captured.err == error + "\n" and captured.out == ""
+    assert not out.exists()
+    assert not log.exists()
+
+
 def test_inventory_command(tmp_path, capsys):
     out = tmp_path / "inv.csv"
     log = tmp_path / "inv.jsonl"

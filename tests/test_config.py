@@ -133,6 +133,33 @@ class TestOverlay:
         with pytest.raises(ConfigError, match=re.escape(path)):
             config_from_mapping(raw)
 
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"tags": {"abc": {}}}, "tags.abc: expected an integer id"),
+            ({"tags": {True: {}}}, "tags.True: expected int"),
+            ({"tags": {1.5: {}}}, "tags.1.5: expected int"),
+            (
+                _geometry(tag={**TAG, "links": {"x": [0.3, 0]}}),
+                "geometry.tags[0].links.x: expected an integer id",
+            ),
+            (
+                _geometry(tag={**TAG, "links": {None: [0.3, 0]}}),
+                "geometry.tags[0].links.None: expected int",
+            ),
+        ],
+    )
+    def test_id_keys_are_refused_with_their_key_path(self, raw, path):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            config_from_mapping(raw)
+
+    def test_id_keys_may_be_text_or_whole_numbers(self):
+        cfg = config_from_mapping({"tags": {"1": {"obeys_goto_bios": False}, 2.0: {}}})
+        assert set(cfg.tag_profiles) == {1, 2}
+        assert not cfg.tag_profiles[1].obeys_goto_bios
+        cfg = config_from_mapping(_geometry(tag={**TAG, "links": {"1": [0.3, 0]}}))
+        assert cfg.geometry.tags[0].links == {1: (0.3, 0.0)}
+
     def test_geometry_numbers_land_as_their_types(self):
         cfg = config_from_mapping(
             _geometry(

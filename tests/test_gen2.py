@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpcbed.gen2 import (
+    Q_MAX,
+    Q_MIN,
     InventoryConfig,
     MacConfigError,
     ReachableTag,
@@ -160,6 +162,23 @@ class TestInventoryRound:
         simulated = {k: v / rounds for k, v in counts.items()}
         exact = singulation_distribution(2, probabilities)
         assert total_variation(simulated, exact) < 0.03
+
+
+    @pytest.mark.parametrize("q", range(Q_MIN, Q_MAX + 1))
+    def test_slot_draws_are_randranges_draws(self, q):
+        # The round draws each slot as Random._randbelow does inside
+        # randrange(2**Q); the reference calls randrange itself.  A Python
+        # whose randrange draws differently fails here, not in a digest.
+        tags = make_tags([0.5] * 24)
+        config = InventoryConfig()
+        for seed in range(3):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            result = run_inventory_round(tags, config, rng, q_fp=float(q))
+            outcomes, _, _ = inventory_round_oracle(
+                tags, config, reference_rng, float(q)
+            )
+            assert rng.getstate() == reference_rng.getstate()
+            assert result.outcomes == outcomes
 
 
 class TestReachableTag:

@@ -601,6 +601,47 @@ class TestExecuteAccessMatchesReference:
             assert bench_state(fast.world) == bench_state(reference.world)
         assert lines == [json.dumps(e, sort_keys=True) for e in expected_events]
 
+    @staticmethod
+    def settled_bench_writes(config, seed=7):
+        """Tag 4 takes 40 one-word writes on antennas (2, 3) from a settled
+        bench (every store full, tag 6, which neither antenna reaches,
+        empty), in the reader and in the reference.  Returns the reader's
+        World and how many harvests it ran."""
+        readers = [make_reader(seed, config), make_reader(seed, config)]
+        for reader in readers:
+            charge_all(reader.world)
+            reader.world.tags[6].energy_uj = 0.0
+            reader.world.tags[4].mode = TagMode.BIOS
+        world = readers[0].world
+        harvests = []
+        harvest_all = world.harvest_all
+        world.harvest_all = lambda *args: harvests.append(args) or harvest_all(*args)
+        ops = [BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(40)]
+        results = readers[0].execute_access(ops, default_epc(4), (2, 3), 40)
+        expected, _ = execute_access_oracle(readers[1], ops, default_epc(4), (2, 3), 40)
+        assert results == expected
+        assert world.clock.now_ms == readers[1].world.clock.now_ms
+        assert world.rng.getstate() == readers[1].world.rng.getstate()
+        assert bench_state(world) == bench_state(readers[1].world)
+        assert sum(r.attempts for r in results) > 200
+        return world, len(harvests)
+
+    def test_two_antenna_orbit_is_replayed(self):
+        # Tag 0 drains under antenna 3 and refills under antenna 2, so the
+        # bench never goes quiet; it alternates between two energy states,
+        # and the reader harvests each (turn, state) once.
+        world, harvests = self.settled_bench_writes(default_config())
+        assert world.tags[0].energy_uj == 100.0
+        assert harvests <= 4
+
+    def test_a_brownout_every_cycle_is_never_replayed(self):
+        # A 0.5 uJ store: antenna 2 fills tag 0 and one slot on antenna 3
+        # drains it through zero, a brownout every cycle.  Replaying the
+        # energy writes alone would stop the count.
+        energy = EnergyParams(capacity_uj=0.5, operate_min_uj=0.1)
+        world, _ = self.settled_bench_writes(replace(default_config(), energy=energy))
+        assert world.tags[0].brownout_count > 100
+
     def test_commit_that_ignores_inventory_silences_a_quiet_bench(self):
         # Every tag at a fixed point on antenna 2, so no harvest in the call
         # steps a tag: only the dispatch itself can tell the loop that the

@@ -17,7 +17,7 @@ from tpcbed.tag import (
     ones_complement_sum16,
 )
 
-from oracles import checksum_oracle
+from oracles import checksum_oracle, write_words_oracle
 
 
 def make_tag(**kwargs) -> CrfidTag:
@@ -161,6 +161,52 @@ class TestWriteProtocol:
         for start, words in writes:
             tag.on_write_words(start, words)
         assert bytes(tag.memory.contents[0xFC00:0x10000]) == canary
+
+
+    @given(
+        bootloader=st.sampled_from([(0xFC00, 0xFFFF), (0x0000, 0x03FF), (0x8000, 0x80FF)]),
+        application=st.sampled_from(
+            [(0x4400, 0x7FFF), (0x0400, 0x43FF), (0x8100, 0xFBFF), (0x4400, 0xFFFF)]
+        ),
+        in_bios=st.booleans(),
+        writes=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(min_value=-4, max_value=0x10004),
+                    st.sampled_from(
+                        [0, 0x03FE, 0x0400, 0x43FE, 0x7FFE, 0x8000, 0x80FE, 0xFBFE, 0xFC00]
+                    ),
+                ),
+                st.lists(
+                    st.one_of(
+                        st.integers(min_value=0, max_value=0xFFFF),
+                        st.sampled_from([-1, 0x10000, 0xFFFF, 0]),
+                    ),
+                    max_size=6,
+                ),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_same_refusals_and_flash_as_the_reference(
+        self, bootloader, application, in_bios, writes
+    ):
+        def tag():
+            # Regions set after construction skip MemoryMap's overlap check,
+            # so the write path's own bootloader check is exercised too.
+            memory = MemoryMap()
+            memory.bootloader = MemoryRegion(*bootloader)
+            memory.application = MemoryRegion(*application)
+            made = make_tag(memory=memory)
+            if in_bios:
+                made.on_goto_bios()
+            return made
+
+        fast, reference = tag(), tag()
+        for start, words in writes:
+            ack = fast.on_write_words(start, words)
+            assert (ack.ok, ack.reason) == write_words_oracle(reference, start, words)
+            assert fast.memory.contents == reference.memory.contents
 
 
 class TestModeProtocol:

@@ -7,7 +7,9 @@ acceptance suite.
 """
 
 import json
+import re
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from tpcbed.llrp import (
     GotoBiosOp,
     encode,
 )
+from tpcbed.config import ConfigError
 from tpcbed.gen2 import AccessResult
 from tpcbed.rfchannel import LinkBudgetParams, default_geometry
 from tpcbed.tag import MemoryMap, ones_complement_sum16
@@ -134,6 +137,33 @@ class TestImage:
         image = load_firmware(fw)
         assert not image.obeys_goto_bios
         assert image.responds_to_inventory  # unspecified key keeps default
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ('{"obeys_goto_bios": "false"}', "bad obeys_goto_bios in "),
+            ('{"responds_to_inventory": 0}', "bad responds_to_inventory in "),
+            ('{"obeys_goto_bios": null}', "bad obeys_goto_bios in "),
+            ("[false]", "expected a JSON object"),
+            ('{"obeys_goto_bios": fals', "Expecting value"),
+        ],
+    )
+    def test_sidecar_flags_must_be_json_booleans(self, tmp_path, text, error):
+        # "false" is truthy text: read with bool() it loaded as True.
+        fw = tmp_path / "app.txt"
+        fw.write_text(SAMPLE)
+        sidecar = behavior_sidecar_path(fw)
+        sidecar.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(error)) as refusal:
+            load_firmware(fw)
+        assert str(sidecar) in str(refusal.value)
+
+    def test_shipped_stuck_image_loads_its_sidecar(self):
+        firmware = Path(__file__).resolve().parent.parent / "firmware"
+        stuck = load_firmware(firmware / "stuck_app.txt")
+        assert not stuck.obeys_goto_bios and stuck.responds_to_inventory
+        demo = load_firmware(firmware / "demo_app.txt")
+        assert demo.obeys_goto_bios and demo.responds_to_inventory
 
 
 class TestRegionValidation:

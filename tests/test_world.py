@@ -253,3 +253,23 @@ def test_whole_millisecond_offsets_match_strftime_up_to_year_9999(whole_ms):
     clock = VirtualClock(epoch=epoch)
     clock.now_ms = float(whole_ms)
     assert clock.iso() == iso_reference(epoch, float(whole_ms))
+
+
+@pytest.mark.parametrize(
+    "epoch_text",
+    ["2016-04-02T23:59:58Z", "2016-12-31T23:59:58.9995Z", "0999-12-31T23:59:58.25Z"],
+)
+def test_iso_caches_no_stale_second_across_rollovers(epoch_text):
+    # Whole-ms stamps reuse the text of their second; fractional stamps
+    # in the same second, a new second, a new day (and year) and a step
+    # back must each render afresh.
+    epoch = ControllerSettings(epoch_utc=epoch_text).epoch_datetime()
+    clock = VirtualClock(epoch=epoch)
+    offsets = [
+        0.0, 0.4, 1.0, 999.0, 999.6, 999.9996, 1000.0, 1000.5, 1001.0,
+        1999.0, 1999.9996, 2000.0, 2000.25, 2001.0, 2999.0, 3000.0,
+        86_402_000.0, 86_402_000.5, 86_402_001.0, 2000.0, 999.0, 1999.0,
+    ]
+    for now_ms in offsets:
+        clock.now_ms = now_ms
+        assert clock.iso() == iso_reference(epoch, now_ms), now_ms
