@@ -154,12 +154,22 @@ def _open_log(path: Path | None):
     return contextlib.nullcontext() if path is None else ExperimentLog(path)
 
 
+def _connect(args) -> ControlClient:
+    """A client of the control server at ``--connect``; an endpoint that
+    cannot be reached raises an OSError naming it."""
+    host, port = args.connect
+    try:
+        return ControlClient(host, port)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise OSError(f"cannot connect to {host}:{port}: {reason}") from None
+
+
 def _leased_call(args, request, *request_args) -> dict | None:
     """``request(client, token, *request_args)`` on the control server at
     ``--connect``, under a lease taken for ``--user`` and released after.
     Prints the error and returns None when the lease or the call fails."""
-    host, port = args.connect
-    with ControlClient(host, port) as client:
+    with _connect(args) as client:
         reply = client.acquire(args.user)
         if reply.get("ok"):
             token = reply["token"]
@@ -208,8 +218,8 @@ def _cmd_inventory(args) -> int:
 
 def _cmd_reprogram(args) -> int:
     if args.connect is not None:
-        firmware_text = args.firmware.read_text()
-        image = load_firmware(args.firmware)
+        image = load_firmware(args.firmware)  # refuses text that is not UTF-8
+        firmware_text = args.firmware.read_text(encoding="utf-8")
         behavior = {
             "obeys_goto_bios": image.obeys_goto_bios,
             "responds_to_inventory": image.responds_to_inventory,
@@ -269,8 +279,7 @@ def _cmd_reader_serve(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    host, port = args.connect
-    with ControlClient(host, port) as client:
+    with _connect(args) as client:
         print(json.dumps(client.status(), indent=2, sort_keys=True))
     return 0
 
@@ -290,6 +299,12 @@ def main(argv: list[str] | None = None) -> int:
         "reader-serve": _cmd_reader_serve,
         "status": _cmd_status,
     }
+    out = getattr(args, "out", None)
+    if out is not None and not out.parent.is_dir():
+        # Checked before the run, which would otherwise write its log and
+        # only then fail to write the table.
+        print(f"error: --out directory does not exist: {out.parent}", file=sys.stderr)
+        return 2
     try:
         return handlers[args.command](args)
     except (ConfigError, TiTxtError, GeometryError, OSError) as exc:

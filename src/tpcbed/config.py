@@ -254,7 +254,12 @@ def load_config(path: str | Path | None = None) -> TestbedConfig:
     """Build the run configuration, overlaying a YAML file if given."""
     if path is None:
         return default_config()
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        problem = f"not UTF-8 text at line {line}: {exc.reason}"
+        raise ConfigError(f"{path}: {problem}") from None
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:

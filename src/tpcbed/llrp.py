@@ -365,11 +365,16 @@ def _pack_payload(msg: Message, out: list[bytes]) -> MsgType:
                 )
             )
         out.append(_U16.pack(len(msg.access_results)))
+        # Every result of one access call names the same target, so an
+        # EPC is checked and packed only when it differs from the last.
+        target = epc = None
         for result in msg.access_results:
             code = _OP_CODES.get(result.kind)
             if code is None:
                 raise EncodeError(f"unknown access op kind {result.kind!r}")
-            epc = _pack_epc(result.target_epc)
+            if epc is None or result.target_epc != target:
+                target = result.target_epc
+                epc = _pack_epc(target)
             success = 1 if result.success else 0
             attempts = result.attempts
             data = result.data

@@ -342,13 +342,17 @@ class Reader:
         # same energies (see World.harvest_all), and a delivered command
         # changes no energy.  So each energy state the call reaches gets an
         # id, and per turn ``replays`` maps a state id to the next one and
-        # the (tag, energy) writes that lead there: only a (turn, state)
-        # not seen before is harvested.  ``responsive`` is only read again
-        # after a write or a dispatch.
+        # the attempt's p² there (None where the target has no link or is
+        # unpowered): only a (turn, state) not seen before is harvested.  A
+        # replayed attempt touches locals alone.  The tags' energies are
+        # written back from ``states`` (``held`` is the state they hold)
+        # before a dispatch or a harvest, the clock from ``now`` before a
+        # dispatch or a log line, and both when each op ends.  The mode half
+        # of ``responsive`` is read again only after a dispatch or a harvest.
         tags = list(world.tags.values())
         state_ids: dict[tuple[float, ...], int] = {}
         states: list[tuple[float, ...]] = []
-        replays: list[dict[int, tuple[int, list]]] = [{} for _ in antennas]
+        replays: list[dict[int, tuple[int, float | None]]] = [{} for _ in antennas]
 
         def state_id(energies: tuple[float, ...]) -> int:
             found = state_ids.setdefault(energies, len(states))
@@ -356,27 +360,36 @@ class Reader:
                 states.append(energies)
             return found
 
-        def harvest(turn: int, state: int | None) -> tuple[int, list]:
-            if state is None:  # the call's first harvest
-                state = state_id(tuple([t.energy_uj for t in tags]))
-            before = after = states[state]
-            writes = []
+        def hold(state: int, held: int) -> int:
+            if state != held:
+                for t, energy_uj in zip(tags, states[state]):
+                    t.energy_uj = energy_uj
+            return state
+
+        def harvest(turn: int, state: int, held: int) -> tuple[int, float | None]:
+            before = after = states[hold(state, held)]
             browned_out = False
             if harvest_all(antennas[turn], slot_ms):
                 after = tuple([t.energy_uj for t in tags])
-                for t, now_uj, was_uj in zip(tags, after, before):
-                    if now_uj != was_uj:
-                        writes.append((t, now_uj))
-                        browned_out = browned_out or now_uj == 0.0 < was_uj
-            step = (state_id(after), writes)
+                browned_out = any(
+                    uj == 0.0 < was_uj for uj, was_uj in zip(after, before)
+                )
+            p2 = success_p[turn] if tag is not None and tag.powered else None
+            step = (state_id(after), p2)
             # A brownout also reset a mode and counted itself, which
-            # replaying the energy writes would not do.
+            # replaying the energies would not do.
             if not browned_out:
                 replays[turn][state] = step
             return step
 
-        state: int | None = None
-        responsive = tag is not None and tag.responsive
+        def listening() -> bool:
+            return tag is not None and (
+                tag.mode is TagMode.BIOS or tag.behavior.responds_to_inventory
+            )
+
+        state = held = state_id(tuple([t.energy_uj for t in tags]))
+        now = clock.now_ms
+        mode_ok = listening()
 
         for op in ops:
             handler = OP_HANDLERS.get(type(op))
@@ -389,23 +402,23 @@ class Reader:
             data: tuple[int, ...] = ()
             for attempt in range(max_retries + 1):
                 turn = attempt % len(antennas)
-                step = replays[turn].get(state) or harvest(turn, state)
-                state, writes = step
-                if writes:
-                    # after a fresh harvest these are in place already
-                    for written, energy_uj in writes:
-                        written.energy_uj = energy_uj
-                    responsive = tag is not None and tag.responsive
-                clock.advance(slot_ms)
+                step = replays[turn].get(state)
+                if step is None:
+                    step = harvest(turn, state, held)
+                    held = step[0]
+                    mode_ok = listening()  # a brownout resets the mode
+                state, p2 = step
+                now += slot_ms
                 attempts += 1
 
-                p2 = success_p[turn]
-                if p2 is None or not responsive:
+                if p2 is None or not mode_ok:
                     continue
                 if random() >= p2:
                     continue
+                clock.now_ms = now
+                held = hold(state, held)
                 ack = handler(op, tag)
-                responsive = tag.responsive
+                mode_ok = listening()
                 if ack is None:
                     continue
                 success = ack.ok
@@ -413,6 +426,8 @@ class Reader:
                 data = tuple(ack.data)
                 break
 
+            clock.now_ms = now
+            held = hold(state, held)
             results.append(
                 AccessResult(kind, target_epc, success, attempts, detail, data)
             )

@@ -257,11 +257,16 @@ def load_firmware(path: str | Path) -> FirmwareImage:
     from .config import ConfigError, _coerce  # config imports this module
 
     path = Path(path)
-    image = parse_ti_txt(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise TiTxtError(line, f"{path}: not UTF-8 text: {exc.reason}") from None
+    image = parse_ti_txt(text)
     sidecar = behavior_sidecar_path(path)
     if sidecar.exists():
         try:
-            meta = json.loads(sidecar.read_text())
+            meta = json.loads(sidecar.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigError(f"bad {sidecar}: {exc}") from None
         if not isinstance(meta, dict):

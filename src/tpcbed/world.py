@@ -186,9 +186,14 @@ class World:
           be skipped until some harvest steps a tag;
         - more generally, a harvest on the same antenna for the same
           ``dt_ms`` from bit-identical energies ends in the energies it
-          ended in before, so its energy writes can be replayed instead,
-          unless it browned a tag out (energy 0.0 from above), which also
-          reset that tag's mode and counted a brownout.
+          ended in before, so its outcome can be replayed instead, unless
+          it browned a tag out (energy 0.0 from above), which also reset
+          that tag's mode and counted a brownout;
+        - a replayed outcome need not reach the tags at once.  The reader
+          carries the energies and the clock in locals and writes them
+          back only before something reads them: a delivered command, a
+          fresh harvest, a log line and the end of each op.  So a raise,
+          a break or a return leaves the World as the harvests would.
 
         The state is kept per call, never on the World, because a write
         to a tag's fields between calls would go unseen.

@@ -1,6 +1,7 @@
 """CLI smoke tests driving main() in-process."""
 
 import json
+import socket
 
 import pytest
 
@@ -123,6 +124,21 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
             {},
             "error: [Errno 2] No such file or directory: 'FW'",
         ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": b"\xff\xfe\x00"},
+            "error: CFG: not UTF-8 text at line 1: invalid start byte",
+        ),
+        (
+            REPROGRAM,
+            {"app.txt": b"\xff\xfe\x00"},
+            "error: line 1: FW: not UTF-8 text: invalid start byte",
+        ),
+        (
+            REPROGRAM + ["--connect", "127.0.0.1:9"],
+            {"app.txt": b"@4400\n01 02\n\xff\xfe\x00"},
+            "error: line 3: FW: not UTF-8 text: invalid start byte",
+        ),
     ],
     ids=[
         "config-value-type",
@@ -133,11 +149,15 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
         "sidecar-root-remote",
         "config-missing",
         "firmware-missing",
+        "config-not-utf8",
+        "firmware-not-utf8",
+        "firmware-not-utf8-remote",
     ],
 )
 def test_refused_inputs_exit_2_with_one_line(tmp_path, capsys, args, files, error):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        raw = content if isinstance(content, bytes) else content.encode()
+        (tmp_path / name).write_bytes(raw)
     names = {"CFG": str(tmp_path / "cfg.yaml"), "FW": str(tmp_path / "app.txt")}
     out, log = tmp_path / "out.csv", tmp_path / "run.jsonl"
     log_args = [] if "--connect" in args else ["--log", str(log)]
@@ -149,6 +169,39 @@ def test_refused_inputs_exit_2_with_one_line(tmp_path, capsys, args, files, erro
     assert captured.err == error + "\n" and captured.out == ""
     assert not out.exists()
     assert not log.exists()
+
+
+@pytest.mark.parametrize("args", [INVENTORY, REPROGRAM])
+def test_out_in_a_missing_directory_is_refused_before_the_run(tmp_path, capsys, args):
+    fw = tmp_path / "app.txt"
+    fw.write_text(FIRMWARE)
+    out, log = tmp_path / "nodir" / "out.csv", tmp_path / "run.jsonl"
+    args = [str(fw) if a == "FW" else a for a in args]
+    rc = main(args + ["--out", str(out), "--log", str(log)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out directory does not exist: {out.parent}\n"
+    assert captured.out == ""
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("args", [["status"], INVENTORY, REPROGRAM])
+def test_connect_to_a_closed_port_names_the_endpoint(tmp_path, capsys, args):
+    fw = tmp_path / "app.txt"
+    fw.write_text(FIRMWARE)
+    with socket.socket() as sock:  # a port that was bound and is now closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    args = [str(fw) if a == "FW" else a for a in args]
+    args += ["--connect", f"127.0.0.1:{port}"]
+    if args[0] != "status":
+        args += ["--out", str(tmp_path / "out.csv")]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot connect to 127.0.0.1:{port}: Connection refused\n"
+    )
+    assert captured.out == ""
 
 
 def test_inventory_command(tmp_path, capsys):

@@ -265,6 +265,17 @@ class TestEncodeErrors:
         with pytest.raises(EncodeError):
             encode(AddAccessSpec(1, 1, b"\x01\x02", (), 0, ()))
 
+    def test_bad_epc_after_a_good_one_in_a_report(self):
+        # A report packs an EPC only when it differs from the previous
+        # result's; the check must still run on every new one.
+        good = AccessResult("read", bytes(12), True, 1, None, ())
+        bad = replace(good, target_epc=bytes(11))
+        with pytest.raises(EncodeError):
+            encode(ROAccessReport(1, (), (good, bad)))
+        other = replace(good, target_epc=b"\x01" * 12)
+        report = ROAccessReport(1, (), (good, good, other, good))
+        assert decode(encode(report)) == report
+
     def test_bad_trigger(self):
         with pytest.raises(EncodeError):
             encode(AddROSpec(1, 1, (), 0, "sometimes", 0))

@@ -642,6 +642,60 @@ class TestExecuteAccessMatchesReference:
         world, _ = self.settled_bench_writes(replace(default_config(), energy=energy))
         assert world.tags[0].brownout_count > 100
 
+    def test_target_powered_on_one_turn_of_the_orbit_only(self):
+        # Tag 4 hears antenna 2 at 7.34 dBm and antenna 3 at 7.94 dBm.  A
+        # 7.5 dBm threshold makes it drain one slot's idle draw (0.75 uJ)
+        # under antenna 2 and refill under antenna 3, and an operate floor
+        # halfway between powers it after antenna 3's turns only, although
+        # both links deliver.
+        energy = EnergyParams(harvest_threshold_dbm=7.5, operate_min_uj=99.625)
+        config = replace(default_config(), energy=energy)
+        world = make_reader(0, config).world
+        charge_all(world)
+        slot_ms = config.inventory.slot_duration_ms
+        world.harvest_all(2, slot_ms)
+        assert world.tags[4].energy_uj == 99.25 and not world.tags[4].powered
+        world.harvest_all(3, slot_ms)
+        assert world.tags[4].energy_uj == 100.0 and world.tags[4].powered
+        readers = [make_reader(7, config), make_reader(7, config)]
+        for reader in readers:
+            charge_all(reader.world)
+            reader.world.tags[6].energy_uj = 0.0
+            reader.world.tags[4].mode = TagMode.BIOS
+        ops = [BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(20)]
+        results = readers[0].execute_access(ops, default_epc(4), (2, 3), 200)
+        expected, _ = execute_access_oracle(readers[1], ops, default_epc(4), (2, 3), 200)
+        assert results == expected
+        assert all(r.success and r.attempts % 2 == 0 for r in results)
+        fast, reference = readers[0].world, readers[1].world
+        assert fast.clock.now_ms == reference.clock.now_ms
+        assert fast.rng.getstate() == reference.rng.getstate()
+        assert bench_state(fast) == bench_state(reference)
+
+    @pytest.mark.parametrize(
+        "energy",
+        [EnergyParams(), EnergyParams(capacity_uj=0.5, operate_min_uj=0.1)],
+        ids=["orbit", "brownout-every-cycle"],
+    )
+    def test_a_non_op_mid_list_leaves_the_state_of_the_ops_before_it(self, energy):
+        # The clock and the energies live in locals between write-backs; the
+        # raise must find them written back, modes and brownouts included.
+        config = replace(default_config(), energy=energy)
+        readers = [make_reader(5, config), make_reader(5, config)]
+        for reader in readers:
+            charge_all(reader.world)
+            reader.world.tags[6].energy_uj = 0.0
+            reader.world.tags[4].mode = TagMode.BIOS
+        ops = [BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(6)]
+        with pytest.raises(TypeError, match="not an access op: str"):
+            readers[0].execute_access(ops + ["write"] + ops, default_epc(4), (2, 3), 40)
+        expected, _ = execute_access_oracle(readers[1], ops, default_epc(4), (2, 3), 40)
+        assert all(r.success for r in expected)
+        fast, reference = readers[0].world, readers[1].world
+        assert fast.clock.now_ms == reference.clock.now_ms
+        assert fast.rng.getstate() == reference.rng.getstate()
+        assert bench_state(fast) == bench_state(reference)
+
     def test_commit_that_ignores_inventory_silences_a_quiet_bench(self):
         # Every tag at a fixed point on antenna 2, so no harvest in the call
         # steps a tag: only the dispatch itself can tell the loop that the
