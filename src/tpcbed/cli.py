@@ -300,10 +300,13 @@ def main(argv: list[str] | None = None) -> int:
         "status": _cmd_status,
     }
     out = getattr(args, "out", None)
+    # Checked before the run, which would otherwise write its log and only
+    # then fail to write the table.
     if out is not None and not out.parent.is_dir():
-        # Checked before the run, which would otherwise write its log and
-        # only then fail to write the table.
         print(f"error: --out directory does not exist: {out.parent}", file=sys.stderr)
+        return 2
+    if out is not None and out.is_dir():
+        print(f"error: --out is a directory: {out}", file=sys.stderr)
         return 2
     try:
         return handlers[args.command](args)

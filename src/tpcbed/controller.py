@@ -155,15 +155,16 @@ class ExperimentLog:
     """Append-only JSON-lines event log.
 
     Every event is one line, keys sorted, so identical event sequences
-    serialize to identical bytes.  Each line is flushed as it is written.
-    A write failure raises immediately: an experiment whose record cannot
-    be kept must abort, not limp on.
+    serialize to identical bytes.  Each line's UTF-8 bytes are handed to
+    the OS in one unbuffered write (more only if the OS takes part) before
+    ``write`` returns.  A write failure raises immediately: an experiment
+    whose record cannot be kept must abort, not limp on.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         try:
-            self._handle = open(self.path, "a", encoding="utf-8")
+            self._handle = open(self.path, "ab", buffering=0)
         except OSError as exc:
             raise LogWriteError(f"cannot open log {self.path}: {exc}") from exc
 
@@ -171,8 +172,10 @@ class ExperimentLog:
         """Append one event: a line a Reader rendered, or a dict to encode."""
         try:
             line = event if isinstance(event, str) else SORTED_JSON.encode(event)
-            self._handle.write(line + "\n")
-            self._handle.flush()
+            data = (line + "\n").encode()
+            written = self._handle.write(data)
+            while written < len(data):
+                written += self._handle.write(data[written:])
         except (OSError, TypeError, ValueError) as exc:
             raise LogWriteError(f"cannot append to {self.path}: {exc}") from exc
 

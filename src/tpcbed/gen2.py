@@ -204,12 +204,32 @@ def run_inventory_round(
         q_fp = float(config.q_initial)
     n_slots = 1 << rounded_q(q_fp)
     step = config.q_fp_step
+    slot_ms = config.slot_duration_ms
 
     # rng.randrange(n_slots), spelled out: Random._randbelow draws
     # n.bit_length() bits and rejects values >= n.  Same draws, same RNG
     # state after (tests/test_gen2.py pins this against randrange).
-    draws: dict[int, list[ReachableTag]] = {}
     getrandbits = rng.getrandbits
+    random = rng.random
+    if n_slots == 1:
+        # Most rounds once Q settles: every tag draws slot 0, that is
+        # getrandbits(1) until a 0, then replies in list order.
+        for tag in reachable_tags:
+            while getrandbits(1):
+                pass
+        replying = [t for t in reachable_tags if random() < t.delivery_probability]
+        singulations = collisions = ()
+        if len(replying) == 1:
+            singulations = ((0, replying[0]),)
+        elif replying:
+            collisions = ((0, tuple(t.tag_id for t in replying)),)
+            q_fp += step
+        else:
+            q_fp -= step
+        q_fp = min(max(q_fp, _Q_FLOOR), _Q_CEILING)
+        return RoundResult(1, singulations, collisions, q_fp, start_time_ms, slot_ms)
+
+    draws: dict[int, list[ReachableTag]] = {}
     bits = n_slots.bit_length()
     for tag in reachable_tags:
         slot_index = getrandbits(bits)
@@ -217,7 +237,6 @@ def run_inventory_round(
             slot_index = getrandbits(bits)
         draws.setdefault(slot_index, []).append(tag)
 
-    random = rng.random
     singulations = []
     collisions = []
     next_slot = 0
@@ -241,10 +260,5 @@ def run_inventory_round(
         q_fp = _after_empty_slots(q_fp, n_slots - next_slot, step)
 
     return RoundResult(
-        slots=n_slots,
-        singulations=tuple(singulations),
-        collisions=tuple(collisions),
-        q_fp_after=q_fp,
-        start_time_ms=start_time_ms,
-        slot_ms=config.slot_duration_ms,
+        n_slots, tuple(singulations), tuple(collisions), q_fp, start_time_ms, slot_ms
     )

@@ -182,7 +182,6 @@ class Reader:
         duration_ms: float,
         report_trigger: str = "end",
         report_interval_ms: float = 0.0,
-        event_sink=None,
     ) -> list[list[TagObservation]]:
         """Alternate rounds over the antennas until the duration elapses.
 
@@ -195,13 +194,15 @@ class Reader:
         for antenna_id in antenna_ids:
             self.world.config.geometry.antenna(antenna_id)  # raises if unknown
 
-        sink = event_sink if event_sink is not None else self._sink
+        sink = self._sink
         world = self.world
         config = world.config.inventory
         clock = world.clock
         slot_ms = config.slot_duration_ms
-        started_ms = clock.now_ms
-        last_report_ms = started_ms
+        # The clock runs in ``now`` and is written back before a log line
+        # reads it and when the call ends.
+        now = started_ms = last_report_ms = clock.now_ms
+        periodic = report_trigger == "periodic"
 
         q_fp: dict[int, float] = {a: float(config.q_initial) for a in antenna_ids}
         acc: dict[tuple[int, bytes], _Accumulator] = {}
@@ -229,32 +230,27 @@ class Reader:
         # harvesting nor a new list (see World.harvest_all).
         quiet: dict[int, list[ReachableTag]] = {}
         turn = 0
-        while clock.now_ms - started_ms < duration_ms:
+        while now - started_ms < duration_ms:
             antenna_turn = turn % len(antenna_ids)
             antenna_id = antenna_ids[antenna_turn]
             turn += 1
+            q = q_fp[antenna_id]
             # The antenna's carrier powers every tag it can see for the
             # whole round, so charge before asking anyone to reply.
             reachable = quiet.get(antenna_id)
             if reachable is None:
-                round_ms = (2 ** rounded_q(q_fp[antenna_id])) * slot_ms
-                if world.harvest_all(antenna_id, round_ms):
+                if world.harvest_all(antenna_id, (1 << rounded_q(q)) * slot_ms):
                     quiet.clear()
                     reachable = world.reachable(antenna_id)
                 else:
                     reachable = quiet[antenna_id] = world.reachable(antenna_id)
-            start_ms = clock.now_ms
-            result = run_inventory_round(
-                reachable,
-                config,
-                world.rng,
-                q_fp=q_fp[antenna_id],
-                start_time_ms=start_ms,
-            )
+            result = run_inventory_round(reachable, config, world.rng, q, now)
+            slots = result.slots
+            singulations = result.singulations
             q_fp[antenna_id] = result.q_fp_after
 
-            for slot_index, seen in result.singulations:
-                seen_ms = start_ms + slot_index * slot_ms
+            for slot_index, seen in singulations:
+                seen_ms = now + slot_index * slot_ms
                 key = (antenna_id, seen.epc)
                 entry = acc.get(key)
                 if entry is None:
@@ -266,24 +262,23 @@ class Reader:
                 entry.last_rssi = seen.rssi_dbm
                 entry.last_seen_ms = seen_ms
 
-            clock.advance(result.duration_ms)
+            now += slots * slot_ms
             if sink is not None:
+                clock.now_ms = now
                 sink(
                     round_line(
                         clock.iso(),
                         antenna_texts[antenna_turn],
-                        result.slots,
-                        len(result.singulations),
+                        slots,
+                        len(singulations),
                         len(result.collisions),
                     )
                 )
-            if (
-                report_trigger == "periodic"
-                and clock.now_ms - last_report_ms >= report_interval_ms
-            ):
+            if periodic and now - last_report_ms >= report_interval_ms:
                 flush()
-                last_report_ms = clock.now_ms
+                last_report_ms = now
 
+        clock.now_ms = now
         if report_trigger == "end" or acc:
             flush()
         return batches

@@ -6,13 +6,14 @@ back."""
 
 import collections
 import functools
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from tpcbed.config import default_config
-from tpcbed.controller import TestbedController as Controller
+from tpcbed.controller import ExperimentLog, TestbedController as Controller
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,6 +72,29 @@ def test_instrument_wraps_every_hook_and_restore_undoes_it(monkeypatch):
     assert {"world.link", "wisent.choose_antennas", "tag.harvest_step"} <= set(
         tracer.calls
     )
+
+
+def test_traced_rounds_match_the_logged_rounds(monkeypatch, tmp_path):
+    """The per-layer ``gen2.*`` figures count what passes through the
+    module-level ``run_inventory_round``.  A reader that ran rounds some
+    other way would leave them at zero; here it fails instead."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import instrument
+
+    tracer = PassThroughTracer()
+    restore = instrument(tracer, [])
+    try:
+        with ExperimentLog(tmp_path / "run.jsonl") as log:
+            Controller(default_config()).run_inventory_experiment(
+                (1, 2, 3), 20.0, 5, log=log
+            )
+    finally:
+        restore()
+    lines = [json.loads(line) for line in log.path.read_text().splitlines()]
+    rounds = [line for line in lines if line["event"] == "round"]
+    assert len(rounds) > 100
+    assert tracer.calls["gen2.round"] == len(rounds)
+    assert tracer.counts["gen2.slots"] == sum(line["slots"] for line in rounds)
 
 
 @pytest.mark.parametrize(

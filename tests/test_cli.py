@@ -185,6 +185,22 @@ def test_out_in_a_missing_directory_is_refused_before_the_run(tmp_path, capsys, 
     assert not log.exists()
 
 
+@pytest.mark.parametrize("args", [INVENTORY, REPROGRAM])
+def test_out_that_is_a_directory_is_refused_before_the_run(tmp_path, capsys, args):
+    fw = tmp_path / "app.txt"
+    fw.write_text(FIRMWARE)
+    out, log = tmp_path / "outdir", tmp_path / "run.jsonl"
+    out.mkdir()
+    args = [str(fw) if a == "FW" else a for a in args]
+    rc = main(args + ["--out", str(out), "--log", str(log)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out is a directory: {out}\n"
+    assert captured.out == ""
+    assert not log.exists()
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("args", [["status"], INVENTORY, REPROGRAM])
 def test_connect_to_a_closed_port_names_the_endpoint(tmp_path, capsys, args):
     fw = tmp_path / "app.txt"

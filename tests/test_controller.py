@@ -161,6 +161,51 @@ class TestExperimentLog:
             with pytest.raises(LogWriteError):
                 log.write({"bad": {1, 2}})
 
+    def test_a_line_reaches_the_file_before_the_log_closes(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            log.write('{"event": "round"}')
+            with open(path, "rb") as reader:
+                assert reader.read() == b'{"event": "round"}\n'
+
+    def test_two_logs_on_one_path_append(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as first:
+            first.write({"run": 1})
+        with ExperimentLog(path) as second:
+            second.write({"run": 2})
+        assert path.read_text() == '{"run": 1}\n{"run": 2}\n'
+
+    def test_a_non_ascii_line_is_written_as_utf8(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            log.write('{"detail": "Ω ü"}')
+        assert path.read_bytes() == '{"detail": "Ω ü"}\n'.encode("utf-8")
+
+    def test_short_writes_still_end_with_the_whole_line(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+
+        class Trickle:
+            """A handle that takes at most three bytes per call."""
+
+            def __init__(self, raw):
+                self.raw = raw
+                self.calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                return self.raw.write(bytes(data[:3]))
+
+            def close(self):
+                self.raw.close()
+
+        with ExperimentLog(path) as log:
+            log._handle = trickle = Trickle(log._handle)
+            log.write('{"event": "round", "slots": 16}')
+            log.write({"event": "x"})
+        assert path.read_text() == '{"event": "round", "slots": 16}\n{"event": "x"}\n'
+        assert trickle.calls == 11 + 5  # ceil(32 / 3) + ceil(15 / 3) bytes
+
 
 class TestEnvironments:
     def test_known_names(self):

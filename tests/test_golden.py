@@ -99,16 +99,16 @@ def _render(batches) -> bytes:
 
 
 def test_periodic_inventory_antennas_2_3_seed_11(tmp_path):
-    reader = Reader(World(default_config(), seed=PERIODIC_SEED))
     log_path = tmp_path / "periodic.jsonl"
     spec = PERIODIC_ROSPEC
     with ExperimentLog(log_path) as log:
+        world = World(default_config(), seed=PERIODIC_SEED)
+        reader = Reader(world, event_sink=log.write)
         batches = reader.run_inventory(
             spec["antenna_ids"],
             float(spec["duration_ms"]),
             spec["report_trigger"],
             float(spec["report_interval_ms"]),
-            event_sink=log.write,
         )
     assert len(batches) == 8
     assert _sha256(_render(batches)) == PERIODIC_BATCHES_SHA256

@@ -12,7 +12,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import entry_to_observation, execute_access_oracle, run_inventory_oracle
+from oracles import (
+    entry_to_observation,
+    execute_access_oracle,
+    run_inventory_oracle,
+    singulation_distribution,
+)
 import tpcbed.reader as reader_module
 from tpcbed.config import TagProfile, default_config
 from tpcbed.llrp import (
@@ -915,6 +920,65 @@ class TestChargingClosedForm:
         [row] = rows
         assert row.tag_id == 6
         assert row.first_seen_ms >= sum(round_ms[:first])
+
+
+class TestReadRatesClosedForm:
+    """Per-tag read counts of a long fixed-Q survey.  With no Q step and
+    every tag kept powered, each round is an independent frame of
+    N = 2^Q slots: tag i is read when it replies (p_i) and no other tag
+    replies in the slot it drew, so per round
+    P_i = p_i * prod over j != i of (1 - p_j / N), and its read count
+    over R rounds is Binomial(R, P_i)."""
+
+    ROUNDS = 20_000
+
+    @staticmethod
+    def read_probabilities(probabilities, n_slots):
+        rates = []
+        for i, p_i in enumerate(probabilities):
+            others = probabilities[:i] + probabilities[i + 1 :]
+            rates.append(p_i * math.prod(1.0 - p_j / n_slots for p_j in others))
+        return rates
+
+    def test_closed_form_sums_to_the_exact_round_mean(self):
+        # Summed over tags, P_i is the mean singulations per round, which
+        # the brute-force law of one round gives exactly.
+        probabilities = [0.31, 0.82, 0.59, 0.38]
+        for n_slots in (1, 2, 4):
+            law = singulation_distribution(n_slots, probabilities)
+            mean = sum(count * weight for count, weight in law.items())
+            rates = self.read_probabilities(probabilities, n_slots)
+            assert sum(rates) == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_read_counts_are_within_4_sigma_of_the_closed_form(self, q):
+        config = default_config()
+        config = replace(
+            config,
+            inventory=replace(config.inventory, q_initial=q, q_fp_step=0.0),
+            energy=replace(config.energy, idle_draw_mw=0.0),
+        )
+        lines = []
+        reader = make_reader(seed=17, config=config, event_sink=lines.append)
+        charge_all(reader.world)  # nothing drains, so every tag stays powered
+        reachable = reader.world.reachable(2)
+        assert len(reachable) == 6
+        n_slots = 1 << q
+        [rows] = reader.run_inventory(
+            (2,), self.ROUNDS * n_slots * reader.slot_duration_ms
+        )
+        assert len(lines) == self.ROUNDS
+        assert reader.world.reachable(2) == reachable
+        assert all(tag.brownout_count == 0 for tag in reader.world.tags.values())
+
+        counts = {row.tag_id: row.read_count for row in rows}
+        rates = self.read_probabilities(
+            [tag.delivery_probability for tag in reachable], n_slots
+        )
+        for tag, rate in zip(reachable, rates):
+            expected = self.ROUNDS * rate
+            sigma = math.sqrt(self.ROUNDS * rate * (1.0 - rate))
+            assert abs(counts[tag.tag_id] - expected) <= 4.0 * sigma, tag.tag_id
 
 
 class TestGotoBiosBudgetFitsTheWire:
