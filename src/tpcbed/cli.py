@@ -87,8 +87,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", type=Path, default=None, help="YAML overrides for the testbed"
     )
 
+    # the options of a run: an inventory or a reprogram
+    run = argparse.ArgumentParser(add_help=False, parents=[common])
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--out", type=Path, required=True, help="CSV output path")
+    run.add_argument("--log", type=Path, default=None, help="JSON-lines event log")
+    run.add_argument(
+        "--connect",
+        type=_parse_endpoint,
+        default=None,
+        metavar="HOST:PORT",
+        help="run through a control server instead of in-process",
+    )
+    run.add_argument("--user", default="cli", help="lease holder name for --connect")
+
     inv = sub.add_parser(
-        "inventory", parents=[common], help="survey tags and write a read table"
+        "inventory", parents=[run], help="survey tags and write a read table"
     )
     inv.add_argument(
         "--antenna",
@@ -100,33 +114,15 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument(
         "--duration", type=_parse_duration_arg, default=30.0, metavar="SECONDS"
     )
-    inv.add_argument("--seed", type=int, default=0)
-    inv.add_argument("--out", type=Path, required=True, help="CSV output path")
-    inv.add_argument("--log", type=Path, default=None, help="JSON-lines event log")
-    inv.add_argument(
-        "--connect",
-        type=_parse_endpoint,
-        default=None,
-        metavar="HOST:PORT",
-        help="run through a control server instead of in-process",
-    )
-    inv.add_argument("--user", default="cli", help="lease holder name for --connect")
 
     rep = sub.add_parser(
-        "reprogram", parents=[common], help="send a firmware image to tags"
+        "reprogram", parents=[run], help="send a firmware image to tags"
     )
     rep.add_argument(
         "--tags", type=_parse_tags_arg, required=True, metavar="LIST",
         help="tag ids, e.g. 0,1,2 or 0-5",
     )
     rep.add_argument("--firmware", type=Path, required=True, help="TI-TXT image")
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--out", type=Path, required=True, help="CSV output path")
-    rep.add_argument("--log", type=Path, default=None, help="JSON-lines event log")
-    rep.add_argument(
-        "--connect", type=_parse_endpoint, default=None, metavar="HOST:PORT"
-    )
-    rep.add_argument("--user", default="cli")
 
     serve = sub.add_parser(
         "serve", parents=[common], help="run the multi-user control server"

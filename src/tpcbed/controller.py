@@ -30,8 +30,8 @@ from pathlib import Path
 
 from .config import TestbedConfig
 from .llrp import MAX_FRAME_LEN
-from .reader import (  # MAX_DURATION_S is re-exported
-    MAX_DURATION_S,
+from .reader import (
+    MAX_DURATION_S,  # re-exported
     SORTED_JSON,
     Reader,
     TagObservation,
@@ -40,7 +40,6 @@ from .reader import (  # MAX_DURATION_S is re-exported
 )
 from .wisent import (
     FirmwareImage,
-    TransferPolicy,
     TransferStats,
     choose_antennas,
     parse_ti_txt,
@@ -51,6 +50,8 @@ from .world import World
 #: Longest request line, newline included: the reader protocol's frame
 #: cap.  A reprogram request carrying a whole-span image is about 205 KB.
 MAX_LINE_BYTES = MAX_FRAME_LEN
+#: How much of an over-long line's tail the server reads and drops.
+MAX_DISCARD_BYTES = 16 * MAX_LINE_BYTES
 
 #: Which antennas each named bench arrangement energizes.
 ENVIRONMENTS = {
@@ -252,7 +253,6 @@ class TestbedController:
         tag_ids: tuple[int, ...],
         image: FirmwareImage,
         seed: int = 0,
-        policy: TransferPolicy | None = None,
         log: ExperimentLog | None = None,
     ) -> list[TransferStats]:
         """Reprogram the listed tags in order, one transfer per tag.
@@ -265,7 +265,7 @@ class TestbedController:
         """
         for tag_id in tag_ids:
             self.config.geometry.tag(tag_id)
-        policy = policy or self.config.transfer
+        policy = self.config.transfer
         reader, sink = self._start(
             log, seed, kind="reprogram", tags=tag_ids, image_bytes=image.byte_count
         )
@@ -431,7 +431,13 @@ class ControlServer(TcpServer):
                         reply = self._handle(request)
                     conn.sendall(SORTED_JSON.encode(reply).encode() + b"\n")
                     if too_long:
-                        break  # the rest of the line is never read
+                        # Drop the tail first: closing with input unread
+                        # sends a reset, which can destroy the reply.
+                        for _ in range(MAX_DISCARD_BYTES // MAX_LINE_BYTES):
+                            tail = stream.readline(MAX_LINE_BYTES)
+                            if not tail or tail.endswith(b"\n"):
+                                break
+                        break
         except (OSError, ValueError):
             pass
         finally:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Q_MIN = 0
 Q_MAX = 15

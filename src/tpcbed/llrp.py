@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import ClassVar
 
 from .gen2 import AccessResult
@@ -84,31 +84,25 @@ class EncodeError(ValueError):
 # -- access operation payloads ------------------------------------------
 
 
-class OpKind(enum.IntEnum):
-    READ = 0
-    BLOCK_WRITE = 1
-    GOTO_BIOS = 2
-    CHECKSUM = 3
-    COMMIT = 4
+# Each op kind's wire code, as plain ints: the codec's per-op loops compare
+# them, where reading an enum member costs several times the comparison.
+_READ, _BLOCK_WRITE, _GOTO_BIOS, _CHECKSUM, _COMMIT = range(5)
 
-
-#: Each op kind's name, as access results and event lines carry it.
+#: Each op kind's name by its wire code, as access results and event lines
+#: carry it.
 OP_KIND_NAMES = {
-    OpKind.READ: "read",
-    OpKind.BLOCK_WRITE: "block-write",
-    OpKind.GOTO_BIOS: "goto-bios",
-    OpKind.CHECKSUM: "checksum",
-    OpKind.COMMIT: "commit",
+    _READ: "read",
+    _BLOCK_WRITE: "block-write",
+    _GOTO_BIOS: "goto-bios",
+    _CHECKSUM: "checksum",
+    _COMMIT: "commit",
 }
-_OP_CODES = {name: int(kind) for kind, name in OP_KIND_NAMES.items()}
-# The codes as plain ints for the codec's per-op loops, where reading an
-# enum member costs several times the comparison it feeds.
-_READ, _BLOCK_WRITE, _GOTO_BIOS, _CHECKSUM, _COMMIT = (int(k) for k in OpKind)
+_OP_CODES = {name: code for code, name in OP_KIND_NAMES.items()}
 
 
 @dataclass(frozen=True)
 class ReadOp:
-    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.READ]
+    kind: ClassVar[str] = OP_KIND_NAMES[_READ]
     start_address: int
     word_count: int
 
@@ -117,19 +111,19 @@ class ReadOp:
 # word chunk on each side of the wire.  No code mutates or hashes one.
 @dataclass(slots=True)
 class BlockWriteOp:
-    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.BLOCK_WRITE]
+    kind: ClassVar[str] = OP_KIND_NAMES[_BLOCK_WRITE]
     start_address: int
     words: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class GotoBiosOp:
-    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.GOTO_BIOS]
+    kind: ClassVar[str] = OP_KIND_NAMES[_GOTO_BIOS]
 
 
 @dataclass(frozen=True)
 class ChecksumOp:
-    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.CHECKSUM]
+    kind: ClassVar[str] = OP_KIND_NAMES[_CHECKSUM]
     start_address: int
     byte_length: int
 
@@ -138,7 +132,7 @@ class ChecksumOp:
 class CommitOp:
     """Activates a staged image: per-segment checksums plus behavior flags."""
 
-    kind: ClassVar[str] = OP_KIND_NAMES[OpKind.COMMIT]
+    kind: ClassVar[str] = OP_KIND_NAMES[_COMMIT]
     segments: tuple[tuple[int, int, int], ...]  # (start, byte_length, checksum)
     obeys_goto_bios: bool = True
     responds_to_inventory: bool = True
@@ -162,13 +156,17 @@ class CapabilitiesResponse:
     antenna_ids: tuple[int, ...]
 
 
+#: ADD_ROSPEC's report triggers by wire code.
+_TRIGGERS = ("end", "periodic")
+
+
 @dataclass(frozen=True)
 class AddROSpec:
     msg_id: int
     rospec_id: int
     antenna_ids: tuple[int, ...]
     duration_ms: int
-    report_trigger: str = "end"  # "end" | "periodic"
+    report_trigger: str = "end"  # one of _TRIGGERS
     report_interval_ms: int = 0
 
 
@@ -248,21 +246,37 @@ Message = (
     | SuccessMessage
 )
 
+#: Each message class by its wire type.
+_MESSAGE_CLASSES: dict[int, type] = {
+    MsgType.GET_CAPABILITIES: GetCapabilities,
+    MsgType.CAPABILITIES_RESPONSE: CapabilitiesResponse,
+    MsgType.ADD_ROSPEC: AddROSpec,
+    MsgType.ADD_ACCESSSPEC: AddAccessSpec,
+    MsgType.START_ROSPEC: StartROSpec,
+    MsgType.STOP_ROSPEC: StopROSpec,
+    MsgType.RO_ACCESS_REPORT: ROAccessReport,
+    MsgType.KEEPALIVE: Keepalive,
+    MsgType.KEEPALIVE_ACK: KeepaliveAck,
+    MsgType.ERROR: ErrorMessage,
+    MsgType.SUCCESS: SuccessMessage,
+}
+_WIRE_TYPES = {cls: msg_type for msg_type, cls in _MESSAGE_CLASSES.items()}
+
 
 # -- encoding --------------------------------------------------------------
 
 # Precompiled layouts.  ">" is big-endian with no padding, so a composite
 # layout packs exactly the bytes of its fields written one after another.
-_U8 = struct.Struct(">B")
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _HEADER = struct.Struct(">BHII")
 _U16_PAIR = struct.Struct(">HH")
 _ROSPEC_TAIL = struct.Struct(">IBI")  # duration, trigger, interval
+_SPEC_HEAD = struct.Struct(">I12s")  # access spec id, target EPC
 _OP_HEAD = struct.Struct(">BHH")  # kind, address, word count or byte length
 _COMMIT_HEAD = struct.Struct(">BBH")  # kind, flags, segment count
 _SEGMENT = struct.Struct(">HHH")  # start, byte length, checksum
-_TAG_REPORT = struct.Struct(">12sBIiiQQ")
+_TAG_REPORT = struct.Struct(">12sBIiiQQ")  # TagReportEntry's fields in order
 _RESULT_HEAD = struct.Struct(">B12sBIH")  # kind, epc, success, attempts, words
 # The head and the detail length that follows it when there are no words:
 # the whole of a result with neither words nor detail.
@@ -291,7 +305,7 @@ def _pack_epc(epc: bytes) -> bytes:
 def _pack_antennas(ids: tuple[int, ...]) -> bytes:
     if len(ids) > 0xFF:
         raise EncodeError("too many antenna ids")
-    return _U8.pack(len(ids)) + bytes(ids)
+    return bytes((len(ids), *ids))
 
 
 def _pack_op(op: AccessOp, out: list[bytes]) -> None:
@@ -302,7 +316,7 @@ def _pack_op(op: AccessOp, out: list[bytes]) -> None:
     elif isinstance(op, ReadOp):
         out.append(_OP_HEAD.pack(_READ, op.start_address, op.word_count))
     elif isinstance(op, GotoBiosOp):
-        out.append(_U8.pack(_GOTO_BIOS))
+        out.append(bytes((_GOTO_BIOS,)))
     elif isinstance(op, ChecksumOp):
         out.append(_OP_HEAD.pack(_CHECKSUM, op.start_address, op.byte_length))
     elif isinstance(op, CommitOp):
@@ -316,54 +330,35 @@ def _pack_op(op: AccessOp, out: list[bytes]) -> None:
         raise EncodeError(f"unknown access op {op!r}")
 
 
-def _pack_payload(msg: Message, out: list[bytes]) -> MsgType:
-    """Append the payload of ``msg`` to ``out``; return its message type."""
-    if isinstance(msg, GetCapabilities):
-        return MsgType.GET_CAPABILITIES
+def _pack_payload(msg: Message, out: list[bytes]) -> None:
+    """Append the payload of ``msg``, one of _MESSAGE_CLASSES, to ``out``."""
     if isinstance(msg, CapabilitiesResponse):
         out.append(_pack_antennas(msg.antenna_ids))
         out.append(_pack_str(msg.model))
-        return MsgType.CAPABILITIES_RESPONSE
-    if isinstance(msg, AddROSpec):
-        trigger = {"end": 0, "periodic": 1}.get(msg.report_trigger)
-        if trigger is None:
+    elif isinstance(msg, AddROSpec):
+        if msg.report_trigger not in _TRIGGERS:
             raise EncodeError(f"unknown report trigger {msg.report_trigger!r}")
+        trigger = _TRIGGERS.index(msg.report_trigger)
         out.append(_U32.pack(msg.rospec_id))
         out.append(_pack_antennas(msg.antenna_ids))
         out.append(
             _ROSPEC_TAIL.pack(msg.duration_ms, trigger, msg.report_interval_ms)
         )
-        return MsgType.ADD_ROSPEC
-    if isinstance(msg, AddAccessSpec):
-        out.append(_U32.pack(msg.accessspec_id))
-        out.append(_pack_epc(msg.target_epc))
+    elif isinstance(msg, AddAccessSpec):
+        out.append(_SPEC_HEAD.pack(msg.accessspec_id, _pack_epc(msg.target_epc)))
         out.append(_pack_antennas(msg.antenna_ids))
         if not 0 <= msg.max_retries <= 0xFFFF:
             raise EncodeError("max_retries must fit in u16")
         out.append(_U16_PAIR.pack(msg.max_retries, len(msg.ops)))
         for op in msg.ops:
             _pack_op(op, out)
-        return MsgType.ADD_ACCESSSPEC
-    if isinstance(msg, StartROSpec):
+    elif isinstance(msg, (StartROSpec, StopROSpec)):
         out.append(_U32.pack(msg.rospec_id))
-        return MsgType.START_ROSPEC
-    if isinstance(msg, StopROSpec):
-        out.append(_U32.pack(msg.rospec_id))
-        return MsgType.STOP_ROSPEC
-    if isinstance(msg, ROAccessReport):
+    elif isinstance(msg, ROAccessReport):
         out.append(_U16.pack(len(msg.tag_reports)))
         for entry in msg.tag_reports:
-            out.append(
-                _TAG_REPORT.pack(
-                    _pack_epc(entry.epc),
-                    entry.antenna_id,
-                    entry.read_count,
-                    entry.mean_rssi_mdbm,
-                    entry.last_rssi_mdbm,
-                    entry.first_seen_ms,
-                    entry.last_seen_ms,
-                )
-            )
+            _pack_epc(entry.epc)  # "12s" would pad or cut a wrong length
+            out.append(_TAG_REPORT.pack(*astuple(entry)))
         out.append(_U16.pack(len(msg.access_results)))
         # Every result of one access call names the same target, so an
         # EPC is checked and packed only when it differs from the last.
@@ -384,24 +379,19 @@ def _pack_payload(msg: Message, out: list[bytes]) -> MsgType:
             out.append(_RESULT_HEAD.pack(code, epc, success, attempts, len(data)))
             out.append(_words(len(data)).pack(*data))
             out.append(_pack_str(result.detail or ""))  # None travels as ""
-        return MsgType.RO_ACCESS_REPORT
-    if isinstance(msg, Keepalive):
-        return MsgType.KEEPALIVE
-    if isinstance(msg, KeepaliveAck):
-        return MsgType.KEEPALIVE_ACK
-    if isinstance(msg, ErrorMessage):
+    elif isinstance(msg, ErrorMessage):
         out.append(_U16.pack(msg.code))
         out.append(_pack_str(msg.text))
-        return MsgType.ERROR
-    if isinstance(msg, SuccessMessage):
-        return MsgType.SUCCESS
-    raise EncodeError(f"cannot encode {type(msg).__name__}")
+    # the other four messages have an empty payload
 
 
 def encode(msg: Message) -> bytes:
     """Serialize a message to one frame.  Deterministic: same message, same bytes."""
+    msg_type = _WIRE_TYPES.get(type(msg))
+    if msg_type is None:
+        raise EncodeError(f"cannot encode {type(msg).__name__}")
     parts = [b""]  # the header, once the payload length is known
-    msg_type = _pack_payload(msg, parts)
+    _pack_payload(msg, parts)
     payload_len = sum(map(len, parts))
     if payload_len > MAX_PAYLOAD:
         raise EncodeError("payload too large for the u32 frame length")
@@ -441,53 +431,25 @@ def _truncated() -> DecodeError:
     return DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, "payload truncated")
 
 
-class _Cursor:
-    """Forward-only reader over one frame's payload, which runs from
-    ``pos`` to the end of ``data``; ``decode`` turns a read past the end
-    or bad UTF-8 into MALFORMED_PAYLOAD."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-
-    def read(self, layout: struct.Struct) -> tuple:
-        fields = layout.unpack_from(self.data, self.pos)
-        self.pos += layout.size
-        return fields
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise _truncated()
-        out = self.data[self.pos : end]
-        self.pos = end
-        return out
-
-    def u16(self) -> int:
-        return self.read(_U16)[0]
-
-    def u32(self) -> int:
-        return self.read(_U32)[0]
-
-    def text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
-
-    def antennas(self) -> tuple[int, ...]:
-        (count,) = self.read(_U8)
-        return tuple(self.take(count))
-
-    def finish(self) -> None:
-        if self.pos != len(self.data):
-            raise DecodeError(
-                DecodeErrorKind.MALFORMED_PAYLOAD,
-                f"{len(self.data) - self.pos} trailing payload bytes",
-            )
+# Each parser below takes the frame and the offset of a field in its
+# payload, and returns the field and the offset after it.  ``decode``
+# turns a read past the end or bad UTF-8 into MALFORMED_PAYLOAD.
 
 
-# The two loops below run once per access op or result, so they read with
-# precompiled layouts at a local offset rather than through the cursor.
+def _parse_antennas(data: bytes, pos: int) -> tuple[tuple[int, ...], int]:
+    """A u8 count and that many antenna ids."""
+    end = pos + 1 + data[pos]
+    if end > len(data):
+        raise _truncated()
+    return tuple(data[pos + 1 : end]), end
+
+
+def _parse_str(data: bytes, pos: int) -> tuple[str, int]:
+    """A u16 byte length and that many bytes of UTF-8."""
+    end = pos + 2 + _U16.unpack_from(data, pos)[0]
+    if end > len(data):
+        raise _truncated()
+    return data[pos + 2 : end].decode("utf-8"), end
 
 
 def _parse_ops(data: bytes, pos: int, count: int) -> tuple[tuple[AccessOp, ...], int]:
@@ -546,65 +508,59 @@ def _parse_results(
             words = _words(n).unpack_from(data, pos)
             (size,) = _U16.unpack_from(data, pos + 2 * n)
             pos += 2 * n
-        pos += 2  # the detail length
-        detail = None
         if size:
-            if pos + size > len(data):
-                raise _truncated()
-            detail = data[pos : pos + size].decode("utf-8")
-            pos += size
+            detail, pos = _parse_str(data, pos)
+        else:
+            detail = None
+            pos += 2  # the empty detail's length
         append(AccessResult(kind, epc, success != 0, attempts, detail, words))
     return tuple(results), pos
 
 
-def _parse_payload(msg_type: int, msg_id: int, cur: _Cursor) -> Message:
-    if msg_type == MsgType.GET_CAPABILITIES:
-        return GetCapabilities(msg_id)
-    if msg_type == MsgType.CAPABILITIES_RESPONSE:
-        return CapabilitiesResponse(msg_id, antenna_ids=cur.antennas(), model=cur.text())
-    if msg_type == MsgType.ADD_ROSPEC:
-        rospec_id = cur.u32()
-        antenna_ids = cur.antennas()
-        duration, trigger, interval = cur.read(_ROSPEC_TAIL)
-        if trigger not in (0, 1):
+def _parse_payload(
+    cls: type, msg_id: int, data: bytes, pos: int
+) -> tuple[Message, int]:
+    """The message of class ``cls`` whose payload starts at ``pos``."""
+    if cls is CapabilitiesResponse:
+        antenna_ids, pos = _parse_antennas(data, pos)
+        model, pos = _parse_str(data, pos)
+        return CapabilitiesResponse(msg_id, model, antenna_ids), pos
+    if cls is AddROSpec:
+        (rospec_id,) = _U32.unpack_from(data, pos)
+        antenna_ids, pos = _parse_antennas(data, pos + 4)
+        duration, trigger, interval = _ROSPEC_TAIL.unpack_from(data, pos)
+        if trigger >= len(_TRIGGERS):
             raise DecodeError(
                 DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown trigger {trigger}"
             )
-        return AddROSpec(
-            msg_id,
-            rospec_id,
-            antenna_ids,
-            duration,
-            "end" if trigger == 0 else "periodic",
-            interval,
+        msg = AddROSpec(
+            msg_id, rospec_id, antenna_ids, duration, _TRIGGERS[trigger], interval
         )
-    if msg_type == MsgType.ADD_ACCESSSPEC:
-        spec_id = cur.u32()
-        epc = cur.take(EPC_LEN)
-        antenna_ids = cur.antennas()
-        max_retries, op_count = cur.read(_U16_PAIR)
-        ops, cur.pos = _parse_ops(cur.data, cur.pos, op_count)
-        return AddAccessSpec(msg_id, spec_id, epc, antenna_ids, max_retries, ops)
-    if msg_type == MsgType.START_ROSPEC:
-        return StartROSpec(msg_id, cur.u32())
-    if msg_type == MsgType.STOP_ROSPEC:
-        return StopROSpec(msg_id, cur.u32())
-    if msg_type == MsgType.RO_ACCESS_REPORT:
+        return msg, pos + _ROSPEC_TAIL.size
+    if cls is AddAccessSpec:
+        spec_id, epc = _SPEC_HEAD.unpack_from(data, pos)
+        antenna_ids, pos = _parse_antennas(data, pos + _SPEC_HEAD.size)
+        max_retries, op_count = _U16_PAIR.unpack_from(data, pos)
+        ops, pos = _parse_ops(data, pos + 4, op_count)
+        return AddAccessSpec(msg_id, spec_id, epc, antenna_ids, max_retries, ops), pos
+    if cls is StartROSpec or cls is StopROSpec:
+        (rospec_id,) = _U32.unpack_from(data, pos)
+        return cls(msg_id, rospec_id), pos + 4
+    if cls is ROAccessReport:
+        (count,) = _U16.unpack_from(data, pos)
+        end = pos + 2 + _TAG_REPORT.size * count
         tag_reports = tuple(
-            TagReportEntry(*cur.read(_TAG_REPORT)) for _ in range(cur.u16())
+            TagReportEntry(*_TAG_REPORT.unpack_from(data, at))
+            for at in range(pos + 2, end, _TAG_REPORT.size)
         )
-        result_count = cur.u16()
-        access_results, cur.pos = _parse_results(cur.data, cur.pos, result_count)
-        return ROAccessReport(msg_id, tag_reports, access_results)
-    if msg_type == MsgType.KEEPALIVE:
-        return Keepalive(msg_id)
-    if msg_type == MsgType.KEEPALIVE_ACK:
-        return KeepaliveAck(msg_id)
-    if msg_type == MsgType.ERROR:
-        return ErrorMessage(msg_id, code=cur.u16(), text=cur.text())
-    if msg_type == MsgType.SUCCESS:
-        return SuccessMessage(msg_id)
-    raise DecodeError(DecodeErrorKind.UNKNOWN_TYPE, f"message type {msg_type}")
+        (count,) = _U16.unpack_from(data, end)
+        access_results, pos = _parse_results(data, end + 2, count)
+        return ROAccessReport(msg_id, tag_reports, access_results), pos
+    if cls is ErrorMessage:
+        (code,) = _U16.unpack_from(data, pos)
+        text, pos = _parse_str(data, pos + 2)
+        return ErrorMessage(msg_id, code, text), pos
+    return cls(msg_id), pos  # the four messages with an empty payload
 
 
 def _parse_header(data: bytes) -> tuple[int, int, int]:
@@ -635,16 +591,20 @@ def decode(data: bytes) -> Message:
             DecodeErrorKind.LENGTH_MISMATCH,
             f"declared {length}, got {len(data)} bytes",
         )
-    if msg_type not in MsgType._value2member_map_:
+    cls = _MESSAGE_CLASSES.get(msg_type)
+    if cls is None:
         raise DecodeError(DecodeErrorKind.UNKNOWN_TYPE, f"message type {msg_type}")
-    cur = _Cursor(data, HEADER_LEN)
     try:
-        msg = _parse_payload(msg_type, msg_id, cur)
+        msg, pos = _parse_payload(cls, msg_id, data, HEADER_LEN)
     except (struct.error, IndexError):  # a read past the end of the payload
         raise _truncated() from None
     except UnicodeDecodeError:
         raise DecodeError(DecodeErrorKind.MALFORMED_PAYLOAD, "bad utf-8") from None
-    cur.finish()
+    if pos != len(data):
+        raise DecodeError(
+            DecodeErrorKind.MALFORMED_PAYLOAD,
+            f"{len(data) - pos} trailing payload bytes",
+        )
     return msg
 
 

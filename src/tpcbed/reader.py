@@ -89,8 +89,12 @@ def check_duration_s(duration_s: float) -> None:
         )
 
 
-def check_report(report_trigger: str, report_interval_ms: float) -> None:
-    """Refuse a report trigger ``Reader.run_inventory`` cannot serve."""
+def check_survey(
+    antenna_ids: tuple[int, ...], report_trigger: str, report_interval_ms: float
+) -> None:
+    """Refuse a survey ``Reader.run_inventory`` cannot serve."""
+    if not antenna_ids:
+        raise ValueError("a survey needs at least one antenna")
     if report_trigger not in ("end", "periodic"):
         raise ValueError(f"unknown report trigger {report_trigger!r}")
     if report_trigger == "periodic" and report_interval_ms <= 0:
@@ -190,7 +194,7 @@ class Reader:
         runs no rounds.  Each antenna keeps its own Q estimate for the
         length of the run.
         """
-        check_report(report_trigger, report_interval_ms)
+        check_survey(antenna_ids, report_trigger, report_interval_ms)
         for antenna_id in antenna_ids:
             self.world.config.geometry.antenna(antenna_id)  # raises if unknown
 
@@ -646,7 +650,9 @@ class ReaderServer(TcpServer):
         if isinstance(msg, AddROSpec):
             try:
                 check_duration_s(msg.duration_ms / 1000.0)
-                check_report(msg.report_trigger, msg.report_interval_ms)
+                check_survey(
+                    msg.antenna_ids, msg.report_trigger, msg.report_interval_ms
+                )
             except ValueError as exc:
                 return [ErrorMessage(mid, int(ErrorCode.MALFORMED), str(exc))]
         if isinstance(msg, (AddROSpec, AddAccessSpec)):

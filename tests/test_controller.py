@@ -669,6 +669,27 @@ class TestControlProtocol:
         with ControlClient(server.host, server.port) as client:
             assert client.status()["ok"]
 
+    @pytest.mark.parametrize(
+        "size, runs", [(MAX_LINE_BYTES + 1, 20), (3 << 20, 1)]
+    )
+    def test_over_the_cap_reply_arrives_before_a_clean_close(
+        self, server, size, runs
+    ):
+        # The server reads the rest of the line before it closes, so the
+        # close is a FIN: never a reset that could destroy the reply.
+        import socket as socketlib
+
+        request = json.dumps({"cmd": "status"}).encode()
+        line = request + b" " * (size - len(request) - 1) + b"\n"
+        for _ in range(runs):
+            address = (server.host, server.port)
+            with socketlib.create_connection(address, timeout=10.0) as raw:
+                raw.sendall(line)
+                with raw.makefile("rb") as stream:
+                    reply = json.loads(stream.readline())
+                    assert reply["error"] == "bad-request"
+                    assert stream.readline() == b""
+
     def test_malformed_json_line(self, server):
         import socket as socketlib
 

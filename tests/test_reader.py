@@ -1261,6 +1261,59 @@ class TestServerClient:
                     )
                 assert err.value.error.code == 6
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        antennas=st.lists(st.sampled_from((0, 1, 2, 3, 4, 255)), max_size=4),
+        duration_ms=st.one_of(
+            st.integers(0, 1_500),
+            st.integers(int(MAX_DURATION_S * 1000) + 1, 2**32 - 1),
+        ),
+        trigger=st.sampled_from(("end", "periodic")),
+        interval_ms=st.sampled_from((0, 1, 250, 2**32 - 1)),
+    )
+    @example(antennas=[], duration_ms=1_000, trigger="end", interval_ms=0)
+    def test_every_rospec_exchange_is_answered(
+        self, antennas, duration_ms, trigger, interval_ms
+    ):
+        # A refusal is an answer; a dropped connection or a missing
+        # reply is not.  START runs exactly the specs that ADD accepted.
+        with ReaderServer(make_reader()) as server:
+            with ReaderClient(server.host, server.port) as client:
+                add = AddROSpec(
+                    client._take_id(),
+                    1,
+                    tuple(antennas),
+                    duration_ms,
+                    trigger,
+                    interval_ms,
+                )
+                try:
+                    client.request(add)
+                    added = True
+                except ReaderError:
+                    added = False
+                    assert server.rospecs == {}
+                client.keepalive()
+                try:
+                    client.request(StartROSpec(client._take_id(), 1))
+                    started = True
+                except ReaderError as exc:
+                    assert exc.error.code == ErrorCode.UNKNOWN_ROSPEC
+                    started = False
+                assert started == added
+                client.keepalive()
+
+    def test_rospec_without_antennas_is_refused(self):
+        with ReaderServer(make_reader()) as server:
+            with ReaderClient(server.host, server.port) as client:
+                with pytest.raises(ReaderError) as err:
+                    client.run_inventory((), 1_000)
+                assert err.value.error.code == ErrorCode.MALFORMED
+                assert server.rospecs == {}
+                client.keepalive()
+        with pytest.raises(ValueError, match="at least one antenna"):
+            make_reader().run_inventory((), 1_000.0)
+
     def test_server_rejects_client_to_client_messages(self):
         with ReaderServer(make_reader()) as server:
             with ReaderClient(server.host, server.port) as client:
