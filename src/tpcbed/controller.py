@@ -50,8 +50,6 @@ from .world import World
 #: Longest request line, newline included: the reader protocol's frame
 #: cap.  A reprogram request carrying a whole-span image is about 205 KB.
 MAX_LINE_BYTES = MAX_FRAME_LEN
-#: How much of an over-long line's tail the server reads and drops.
-MAX_DISCARD_BYTES = 16 * MAX_LINE_BYTES
 
 #: Which antennas each named bench arrangement energizes.
 ENVIRONMENTS = {
@@ -429,15 +427,11 @@ class ControlServer(TcpServer):
                         }
                     else:
                         reply = self._handle(request)
-                    conn.sendall(SORTED_JSON.encode(reply).encode() + b"\n")
+                    data = SORTED_JSON.encode(reply).encode() + b"\n"
                     if too_long:
-                        # Drop the tail first: closing with input unread
-                        # sends a reset, which can destroy the reply.
-                        for _ in range(MAX_DISCARD_BYTES // MAX_LINE_BYTES):
-                            tail = stream.readline(MAX_LINE_BYTES)
-                            if not tail or tail.endswith(b"\n"):
-                                break
+                        self._last_reply(conn, data)
                         break
+                    conn.sendall(data)
         except (OSError, ValueError):
             pass
         finally:

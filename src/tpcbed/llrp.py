@@ -289,6 +289,13 @@ def _words(count: int) -> struct.Struct:
     return struct.Struct(f">{count}H")
 
 
+@functools.lru_cache(maxsize=64)
+def _block_write(count: int) -> struct.Struct:
+    """The layout of a block write of ``count`` words: kind, address,
+    word count, words."""
+    return struct.Struct(f">BHH{count}H")
+
+
 def _pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
@@ -309,11 +316,8 @@ def _pack_antennas(ids: tuple[int, ...]) -> bytes:
 
 
 def _pack_op(op: AccessOp, out: list[bytes]) -> None:
-    if isinstance(op, BlockWriteOp):
-        n = len(op.words)
-        out.append(_OP_HEAD.pack(_BLOCK_WRITE, op.start_address, n))
-        out.append(_words(n).pack(*op.words))
-    elif isinstance(op, ReadOp):
+    """Append any op but a block write, which the ADD_ACCESSSPEC loop packs."""
+    if isinstance(op, ReadOp):
         out.append(_OP_HEAD.pack(_READ, op.start_address, op.word_count))
     elif isinstance(op, GotoBiosOp):
         out.append(bytes((_GOTO_BIOS,)))
@@ -350,8 +354,19 @@ def _pack_payload(msg: Message, out: list[bytes]) -> None:
         if not 0 <= msg.max_retries <= 0xFFFF:
             raise EncodeError("max_retries must fit in u16")
         out.append(_U16_PAIR.pack(msg.max_retries, len(msg.ops)))
+        # Block writes come in runs of one word count, so the layout is
+        # looked up again only where the count changes.
+        append = out.append
+        count = pack = None
         for op in msg.ops:
-            _pack_op(op, out)
+            if isinstance(op, BlockWriteOp):
+                words = op.words
+                if len(words) != count:
+                    count = len(words)
+                    pack = _block_write(count).pack
+                append(pack(_BLOCK_WRITE, op.start_address, count, *words))
+            else:
+                _pack_op(op, out)
     elif isinstance(msg, (StartROSpec, StopROSpec)):
         out.append(_U32.pack(msg.rospec_id))
     elif isinstance(msg, ROAccessReport):
@@ -386,12 +401,21 @@ def _pack_payload(msg: Message, out: list[bytes]) -> None:
 
 
 def encode(msg: Message) -> bytes:
-    """Serialize a message to one frame.  Deterministic: same message, same bytes."""
+    """Serialize a message to one frame.  Deterministic: same message, same bytes.
+
+    A field that does not fit its wire width raises EncodeError, as does
+    anything else the frame cannot carry.
+    """
     msg_type = _WIRE_TYPES.get(type(msg))
     if msg_type is None:
         raise EncodeError(f"cannot encode {type(msg).__name__}")
     parts = [b""]  # the header, once the payload length is known
-    _pack_payload(msg, parts)
+    try:
+        _pack_payload(msg, parts)
+    except EncodeError:
+        raise
+    except (struct.error, ValueError) as exc:  # a field out of its range
+        raise EncodeError(f"cannot encode {type(msg).__name__}: {exc}") from None
     payload_len = sum(map(len, parts))
     if payload_len > MAX_PAYLOAD:
         raise EncodeError("payload too large for the u32 frame length")
@@ -452,17 +476,51 @@ def _parse_str(data: bytes, pos: int) -> tuple[str, int]:
     return data[pos + 2 : end].decode("utf-8"), end
 
 
+def _run_end(
+    data: bytes, pos: int, count: int, size: int, columns: tuple[tuple[int, bytes], ...]
+) -> int:
+    """The end of the run of records of ``size`` bytes from ``pos`` on.
+
+    The run holds at most ``count`` records, each whole within ``data``
+    and holding, at each (offset, allowed) in ``columns``, one of the
+    ``allowed`` bytes.  It ends at the first record that does not.
+    """
+    end = pos + size * min(count, (len(data) - pos) // size)
+    for offset, allowed in columns:
+        column = data[pos + offset : end : size]
+        end = min(end, pos + size * (len(column) - len(column.lstrip(allowed))))
+    return end
+
+
 def _parse_ops(data: bytes, pos: int, count: int) -> tuple[tuple[AccessOp, ...], int]:
-    """``count`` access ops from ``pos`` on, and the offset after them."""
+    """``count`` access ops from ``pos`` on, and the offset after them.
+
+    Block writes are read a run at a time: every following block write
+    with the same word count, up to the first op of another shape, in one
+    ``iter_unpack``.  What ends a run is read by the per-op code.
+    """
     ops: list[AccessOp] = []
     append = ops.append
     pair = _U16_PAIR.unpack_from
-    for _ in range(count):
+    while len(ops) < count:
         kind = data[pos]
         if kind == _BLOCK_WRITE:
-            start, n = pair(data, pos + 1)
-            append(BlockWriteOp(start, _words(n).unpack_from(data, pos + 5)))
-            pos += 5 + 2 * n
+            # A run of block writes: the same kind and word count.
+            n = pair(data, pos + 1)[1]
+            size = 5 + 2 * n
+            columns = (
+                (0, bytes((kind,))),
+                (3, bytes((n >> 8,))),
+                (4, bytes((n & 0xFF,))),
+            )
+            end = _run_end(data, pos, count - len(ops), size, columns)
+            if end == pos:  # the op runs past the end of the payload
+                raise _truncated()
+            ops += [
+                BlockWriteOp(fields[1], fields[3:])
+                for fields in _block_write(n).iter_unpack(data[pos:end])
+            ]
+            pos = end
         elif kind == _READ:
             append(ReadOp(*pair(data, pos + 1)))
             pos += 5
@@ -490,18 +548,40 @@ def _parse_ops(data: bytes, pos: int, count: int) -> tuple[tuple[AccessOp, ...],
 def _parse_results(
     data: bytes, pos: int, count: int
 ) -> tuple[tuple[AccessResult, ...], int]:
-    """``count`` access results from ``pos`` on, and the offset after them."""
+    """``count`` access results from ``pos`` on, and the offset after them.
+
+    A bare result, with neither words nor detail, is read with every bare
+    result that follows it, up to the first result of another shape, in
+    one ``iter_unpack``.
+    """
     results: list[AccessResult] = []
     append = results.append
-    for _ in range(count):
+    names = OP_KIND_NAMES
+    while len(results) < count:
         # Read as a bare result first: one with words has its first word
         # where a bare one has its detail length.
         code, epc, success, attempts, n, size = _BARE_RESULT.unpack_from(data, pos)
-        kind = OP_KIND_NAMES.get(code)
+        kind = names.get(code)
         if kind is None:
             raise DecodeError(
                 DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {code}"
             )
+        if not (n or size):
+            # A run of bare results: a known op kind, and zero bytes for
+            # the word count and the detail length.
+            bare = _BARE_RESULT.size
+            columns = ((0, bytes(names)),) + tuple(
+                (at, b"\0") for at in range(_RESULT_HEAD.size - 2, bare)
+            )
+            end = _run_end(data, pos, count - len(results), bare, columns)
+            results += [
+                AccessResult(names[code], epc, success != 0, attempts, None, ())
+                for code, epc, success, attempts, _, _ in _BARE_RESULT.iter_unpack(
+                    data[pos:end]
+                )
+            ]
+            pos = end
+            continue
         pos += _RESULT_HEAD.size
         words = ()
         if n:

@@ -24,6 +24,7 @@ import json
 import math
 import socket
 import threading
+import time
 from dataclasses import dataclass
 
 from .gen2 import AccessResult, ReachableTag, rounded_q, run_inventory_round
@@ -515,6 +516,12 @@ def _malformed(error: DecodeError) -> ErrorMessage:
     return ErrorMessage(0, int(ErrorCode.MALFORMED), error.kind.value)
 
 
+#: After a connection's last reply a server reads and drops at most this
+#: much of what the peer still sends, and for at most this many seconds.
+MAX_DISCARD_BYTES = 16 << 20
+DISCARD_TIMEOUT_S = 1.0
+
+
 class TcpServer:
     """Accepts TCP connections on a background thread, each served on its own.
 
@@ -570,6 +577,34 @@ class TcpServer:
     def _admit(self, conn: socket.socket) -> bool:
         return True
 
+    @staticmethod
+    def _last_reply(conn: socket.socket, reply: bytes) -> None:
+        """Send ``reply``, end the stream, drop the peer's input, and close.
+
+        The peer reads the reply and then end of stream.  The input is
+        dropped until the peer's end of stream, MAX_DISCARD_BYTES or
+        DISCARD_TIMEOUT_S, whichever comes first: a close with input
+        unread sends a reset, which can destroy the reply.
+        """
+        try:
+            conn.sendall(reply)
+            conn.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + DISCARD_TIMEOUT_S
+            dropped = 0
+            while dropped < MAX_DISCARD_BYTES:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                conn.settimeout(left)
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                dropped += len(chunk)
+        except OSError:  # the peer's reset, or the timeout
+            pass
+        finally:
+            conn.close()
+
 
 class ReaderServer(TcpServer):
     """Serves one Reader to one client at a time over TCP.
@@ -623,7 +658,7 @@ class ReaderServer(TcpServer):
                 try:
                     items = stream.feed(chunk)
                 except DecodeError as exc:
-                    conn.sendall(encode(_malformed(exc)))
+                    self._last_reply(conn, encode(_malformed(exc)))
                     return
                 for item in items:
                     if isinstance(item, DecodeError):

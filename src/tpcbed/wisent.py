@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .llrp import BlockWriteOp, ChecksumOp, CommitOp, GotoBiosOp
@@ -62,6 +62,11 @@ class FirmwareImage:
     segments: tuple[FirmwareSegment, ...]
     obeys_goto_bios: bool = True
     responds_to_inventory: bool = True
+    # write_ops' result by chunk size: every transfer of the image after
+    # the first reuses it.  An image made by replace() starts empty.
+    _write_ops: dict[int, tuple[tuple[BlockWriteOp, ...], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         prev_end = -1
@@ -75,7 +80,13 @@ class FirmwareImage:
         return sum(len(seg.data) for seg in self.segments)
 
     def word_aligned(self) -> "FirmwareImage":
-        """Pad odd-length segments with the flash fill byte to word size."""
+        """Pad odd-length segments with the flash fill byte to word size.
+
+        An image with no odd-length segment is returned as it is, with
+        the write ops it has built.
+        """
+        if not any(len(seg.data) % WORD_BYTES for seg in self.segments):
+            return self
         padded = []
         for seg in self.segments:
             data = seg.data
@@ -83,6 +94,20 @@ class FirmwareImage:
                 data = data + bytes([FLASH_FILL_BYTE])
             padded.append(FirmwareSegment(seg.start_address, data))
         return replace(self, segments=tuple(padded))
+
+    def write_ops(self, chunk_words: int) -> tuple[tuple[BlockWriteOp, ...], ...]:
+        """Each segment's words, little-endian, as block writes of
+        ``chunk_words`` words; the image must be word-aligned.
+
+        Built once per chunk size and shared by every transfer of the
+        image, so no caller may change them.
+        """
+        ops = self._write_ops.get(chunk_words)
+        if ops is None:
+            ops = self._write_ops[chunk_words] = tuple(
+                _block_writes(seg, chunk_words) for seg in self.segments
+            )
+        return ops
 
 
 @dataclass(frozen=True)
@@ -337,11 +362,20 @@ def choose_antennas(
 # -- the transfer itself -----------------------------------------------
 
 
-def _segment_words(segment: FirmwareSegment) -> list[int]:
+def _block_writes(
+    segment: FirmwareSegment, chunk_words: int
+) -> tuple[BlockWriteOp, ...]:
     data = segment.data
-    return [
+    words = [
         data[i] | (data[i + 1] << 8) for i in range(0, len(data), WORD_BYTES)
     ]
+    return tuple(
+        BlockWriteOp(
+            segment.start_address + offset * WORD_BYTES,
+            tuple(words[offset : offset + chunk_words]),
+        )
+        for offset in range(0, len(words), chunk_words)
+    )
 
 
 def reprogram(
@@ -409,16 +443,7 @@ def reprogram(
         return stats(OUTCOME_ABORT_TIMEOUT)
 
     # Stream the image, one chunk of words per frame.
-    for segment in image.segments:
-        words = _segment_words(segment)
-        ops = []
-        for offset in range(0, len(words), policy.chunk_words):
-            chunk = words[offset : offset + policy.chunk_words]
-            ops.append(
-                BlockWriteOp(
-                    segment.start_address + offset * WORD_BYTES, tuple(chunk)
-                )
-            )
+    for ops in image.write_ops(policy.chunk_words):
         results = reader_session.execute_access(
             ops, target_epc, antennas, max_retries=policy.max_retries
         )

@@ -54,11 +54,6 @@ class VirtualClock:
             epoch.hour * 3600 + epoch.minute * 60 + epoch.second
         ) * 1_000_000 + epoch.microsecond
 
-    def advance(self, dt_ms: float) -> None:
-        if dt_ms < 0:
-            raise ValueError("clock cannot run backwards")
-        self.now_ms += dt_ms
-
     def iso(self) -> str:
         now_ms = self.now_ms
         # int() raises on NaN and infinity, as timedelta does.

@@ -8,6 +8,7 @@ enumeration instead of sampling), so shared bugs are unlikely.
 
 import itertools
 import math
+import struct
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -250,7 +251,7 @@ def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
         for attempt in range(max_retries + 1):
             antenna_id = antennas[attempt % len(antennas)]
             world.harvest_all(antenna_id, slot_ms)
-            world.clock.advance(slot_ms)
+            world.clock.now_ms += slot_ms
             attempts += 1
             tag = world.tag_by_epc(target_epc)
             if tag is None:
@@ -352,7 +353,7 @@ def run_inventory_oracle(
             reads.setdefault((antenna_id, epc), []).append(
                 (outcome.timestamp_ms, outcome.tag_id, outcome.rssi_dbm)
             )
-        clock.advance(len(outcomes) * config.slot_duration_ms)
+        clock.now_ms += len(outcomes) * config.slot_duration_ms
         events.append(
             {
                 "event": "round",
@@ -388,3 +389,136 @@ def entry_to_observation(entry, tag_id=-1):
         first_seen_ms=float(entry.first_seen_ms),
         last_seen_ms=float(entry.last_seen_ms),
     )
+
+
+# -- the reader wire's per-record codec ----------------------------------
+#
+# The access-op and access-result loops of the wire codec as they were
+# before runs of uniform records were packed and read whole: one record at
+# a time, each through its own pack or unpack.  The codec must give the
+# same bytes, and the same message or the same DecodeError, for any input.
+
+_OP_HEAD = struct.Struct(">BHH")  # kind, address, word count or byte length
+_U16_PAIR = struct.Struct(">HH")
+_COMMIT_HEAD = struct.Struct(">BBH")  # kind, flags, segment count
+_SEGMENT = struct.Struct(">HHH")  # start, byte length, checksum
+_RESULT_HEAD = struct.Struct(">B12sBIH")  # kind, epc, success, attempts, words
+_BARE_RESULT = struct.Struct(">B12sBIHH")  # the head and the detail length
+_U16 = struct.Struct(">H")
+
+
+def _words(count):
+    return struct.Struct(f">{count}H")
+
+
+def pack_ops_oracle(ops) -> bytes:
+    """The ops part of an ADD_ACCESSSPEC payload, one op at a time."""
+    from tpcbed.llrp import (
+        BlockWriteOp,
+        ChecksumOp,
+        CommitOp,
+        EncodeError,
+        GotoBiosOp,
+        ReadOp,
+    )
+
+    out = []
+    for op in ops:
+        if isinstance(op, BlockWriteOp):
+            n = len(op.words)
+            out.append(_OP_HEAD.pack(1, op.start_address, n))
+            out.append(_words(n).pack(*op.words))
+        elif isinstance(op, ReadOp):
+            out.append(_OP_HEAD.pack(0, op.start_address, op.word_count))
+        elif isinstance(op, GotoBiosOp):
+            out.append(bytes((2,)))
+        elif isinstance(op, ChecksumOp):
+            out.append(_OP_HEAD.pack(3, op.start_address, op.byte_length))
+        elif isinstance(op, CommitOp):
+            flags = (1 if op.obeys_goto_bios else 0) | (
+                2 if op.responds_to_inventory else 0
+            )
+            out.append(_COMMIT_HEAD.pack(4, flags, len(op.segments)))
+            for start, length, checksum in op.segments:
+                out.append(_SEGMENT.pack(start, length, checksum))
+        else:
+            raise EncodeError(f"unknown access op {op!r}")
+    return b"".join(out)
+
+
+def parse_ops_oracle(data, pos, count):
+    """``count`` access ops from ``pos`` on, one at a time; the codec's
+    ``_parse_ops`` signature, so a test can put it in that one's place."""
+    from tpcbed.llrp import (
+        BlockWriteOp,
+        ChecksumOp,
+        CommitOp,
+        DecodeError,
+        DecodeErrorKind,
+        GotoBiosOp,
+        ReadOp,
+    )
+
+    ops = []
+    for _ in range(count):
+        kind = data[pos]
+        if kind == 1:
+            start, n = _U16_PAIR.unpack_from(data, pos + 1)
+            ops.append(BlockWriteOp(start, _words(n).unpack_from(data, pos + 5)))
+            pos += 5 + 2 * n
+        elif kind == 0:
+            ops.append(ReadOp(*_U16_PAIR.unpack_from(data, pos + 1)))
+            pos += 5
+        elif kind == 2:
+            ops.append(GotoBiosOp())
+            pos += 1
+        elif kind == 3:
+            ops.append(ChecksumOp(*_U16_PAIR.unpack_from(data, pos + 1)))
+            pos += 5
+        elif kind == 4:
+            _, flags, n = _COMMIT_HEAD.unpack_from(data, pos)
+            pos += _COMMIT_HEAD.size
+            segments = tuple(
+                _SEGMENT.unpack_from(data, pos + 6 * i) for i in range(n)
+            )
+            pos += 6 * n
+            ops.append(CommitOp(segments, bool(flags & 1), bool(flags & 2)))
+        else:
+            raise DecodeError(
+                DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {kind}"
+            )
+    return tuple(ops), pos
+
+
+def parse_results_oracle(data, pos, count):
+    """``count`` access results from ``pos`` on, one at a time; the
+    codec's ``_parse_results`` signature."""
+    from tpcbed.gen2 import AccessResult
+    from tpcbed.llrp import OP_KIND_NAMES, DecodeError, DecodeErrorKind
+
+    results = []
+    for _ in range(count):
+        code, epc, success, attempts, n, size = _BARE_RESULT.unpack_from(data, pos)
+        kind = OP_KIND_NAMES.get(code)
+        if kind is None:
+            raise DecodeError(
+                DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {code}"
+            )
+        pos += _RESULT_HEAD.size
+        words = ()
+        if n:
+            words = _words(n).unpack_from(data, pos)
+            (size,) = _U16.unpack_from(data, pos + 2 * n)
+            pos += 2 * n
+        if size:
+            end = pos + 2 + _U16.unpack_from(data, pos)[0]
+            if end > len(data):
+                raise DecodeError(
+                    DecodeErrorKind.MALFORMED_PAYLOAD, "payload truncated"
+                )
+            detail, pos = data[pos + 2 : end].decode("utf-8"), end
+        else:
+            detail = None
+            pos += 2  # the empty detail's length
+        results.append(AccessResult(kind, epc, success != 0, attempts, detail, words))
+    return tuple(results), pos

@@ -5,9 +5,13 @@ import struct
 import threading
 from dataclasses import replace
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import pack_ops_oracle, parse_ops_oracle, parse_results_oracle
+from tpcbed import llrp
 from tpcbed.gen2 import AccessResult
 from tpcbed.llrp import (
     AddAccessSpec,
@@ -189,6 +193,20 @@ def access_spec_strategy():
     )
 
 
+def access_result_strategy():
+    return st.builds(
+        AccessResult,
+        kind=st.sampled_from(sorted(OP_KIND_NAMES.values())),
+        target_epc=EPCS,
+        success=st.booleans(),
+        attempts=U32,
+        data=st.lists(
+            st.integers(min_value=0, max_value=0xFFFF), max_size=6
+        ).map(tuple),
+        detail=TEXT.map(lambda t: t or None),
+    )
+
+
 def access_report_strategy(min_results=0):
     u64 = st.integers(min_value=0, max_value=2**64 - 1)
     i32 = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -202,22 +220,13 @@ def access_report_strategy(min_results=0):
         first_seen_ms=u64,
         last_seen_ms=u64,
     )
-    access_entry = st.builds(
-        AccessResult,
-        kind=st.sampled_from(sorted(OP_KIND_NAMES.values())),
-        target_epc=EPCS,
-        success=st.booleans(),
-        attempts=U32,
-        data=st.lists(
-            st.integers(min_value=0, max_value=0xFFFF), max_size=6
-        ).map(tuple),
-        detail=TEXT.map(lambda t: t or None),
-    )
     return st.builds(
         ROAccessReport,
         MSG_ID,
         st.lists(tag_entry, max_size=3).map(tuple),
-        st.lists(access_entry, min_size=min_results, max_size=3).map(tuple),
+        st.lists(access_result_strategy(), min_size=min_results, max_size=3).map(
+            tuple
+        ),
     )
 
 
@@ -254,6 +263,69 @@ class TestRoundTrip:
         assert declared == len(frame)
 
 
+U8_RANGE, U16_RANGE, U32_RANGE = (0, 0xFF), (0, 0xFFFF), (0, 0xFFFFFFFF)
+I32_RANGE, U64_RANGE = (-(2**31), 2**31 - 1), (0, 2**64 - 1)
+
+
+def _spec(*ops, spec_id=1, antennas=(), max_retries=0):
+    return AddAccessSpec(1, spec_id, EPC, antennas, max_retries, ops)
+
+
+def _tag_report(**fields):
+    entry = TagReportEntry(EPC, 1, 1, 0, 0, 0, 0)
+    return ROAccessReport(1, (replace(entry, **fields),))
+
+
+def _result(**fields):
+    result = AccessResult("read", EPC, True, 1, None, ())
+    return ROAccessReport(1, (), (replace(result, **fields),))
+
+
+#: Every integer field the codec packs: a message built around one value
+#: of the field, and the field's range on the wire.
+PACKED_FIELDS = {
+    "msg_id": (lambda v: Keepalive(v), U32_RANGE),
+    "capabilities antenna": (
+        lambda v: CapabilitiesResponse(1, "m", (v,)),
+        U8_RANGE,
+    ),
+    "rospec_id": (lambda v: AddROSpec(1, v, (1,), 1, "end", 0), U32_RANGE),
+    "rospec antenna": (lambda v: AddROSpec(1, 1, (v,), 1, "end", 0), U8_RANGE),
+    "duration_ms": (lambda v: AddROSpec(1, 1, (1,), v, "end", 0), U32_RANGE),
+    "report_interval_ms": (
+        lambda v: AddROSpec(1, 1, (1,), 1, "periodic", v),
+        U32_RANGE,
+    ),
+    "accessspec_id": (lambda v: _spec(spec_id=v), U32_RANGE),
+    "access antenna": (lambda v: _spec(antennas=(v,)), U8_RANGE),
+    "max_retries": (lambda v: _spec(max_retries=v), U16_RANGE),
+    "read start": (lambda v: _spec(ReadOp(v, 1)), U16_RANGE),
+    "read word_count": (lambda v: _spec(ReadOp(1, v)), U16_RANGE),
+    "write start": (lambda v: _spec(BlockWriteOp(v, (1, 2))), U16_RANGE),
+    "write word": (lambda v: _spec(BlockWriteOp(2, (3, v))), U16_RANGE),
+    "write word in a run": (
+        lambda v: _spec(BlockWriteOp(0, (1,)), BlockWriteOp(2, (v,))),
+        U16_RANGE,
+    ),
+    "checksum start": (lambda v: _spec(ChecksumOp(v, 2)), U16_RANGE),
+    "checksum byte_length": (lambda v: _spec(ChecksumOp(2, v)), U16_RANGE),
+    "segment start": (lambda v: _spec(CommitOp(((v, 2, 3),))), U16_RANGE),
+    "segment byte_length": (lambda v: _spec(CommitOp(((1, v, 3),))), U16_RANGE),
+    "segment checksum": (lambda v: _spec(CommitOp(((1, 2, v),))), U16_RANGE),
+    "start rospec_id": (lambda v: StartROSpec(1, v), U32_RANGE),
+    "stop rospec_id": (lambda v: StopROSpec(1, v), U32_RANGE),
+    "report antenna_id": (lambda v: _tag_report(antenna_id=v), U8_RANGE),
+    "report read_count": (lambda v: _tag_report(read_count=v), U32_RANGE),
+    "report mean_rssi": (lambda v: _tag_report(mean_rssi_mdbm=v), I32_RANGE),
+    "report last_rssi": (lambda v: _tag_report(last_rssi_mdbm=v), I32_RANGE),
+    "report first_seen": (lambda v: _tag_report(first_seen_ms=v), U64_RANGE),
+    "report last_seen": (lambda v: _tag_report(last_seen_ms=v), U64_RANGE),
+    "result attempts": (lambda v: _result(attempts=v), U32_RANGE),
+    "result word": (lambda v: _result(data=(1, v)), U16_RANGE),
+    "error code": (lambda v: ErrorMessage(1, v, "x"), U16_RANGE),
+}
+
+
 class TestEncodeErrors:
     def test_msg_id_out_of_range(self):
         with pytest.raises(EncodeError):
@@ -279,6 +351,24 @@ class TestEncodeErrors:
     def test_bad_trigger(self):
         with pytest.raises(EncodeError):
             encode(AddROSpec(1, 1, (), 0, "sometimes", 0))
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(PACKED_FIELDS)), st.data())
+    def test_every_field_out_of_range_is_an_encode_error(self, name, data):
+        build, (low, high) = PACKED_FIELDS[name]
+        for edge in (low, high):
+            assert decode(encode(build(edge))) == build(edge)
+        value = data.draw(
+            st.one_of(st.integers(max_value=low - 1), st.integers(min_value=high + 1))
+        )
+        msg = build(value)
+        with pytest.raises(EncodeError) as err:
+            encode(msg)
+        # a hand-checked field keeps its own text, wrapped once at most
+        text = str(err.value)
+        assert text.count("cannot encode") <= 1
+        if text.startswith("cannot encode"):
+            assert text.startswith(f"cannot encode {type(msg).__name__}: ")
 
 
 class TestDecodeTaxonomy:
@@ -430,6 +520,106 @@ class TestAccessFramesAreTotal:
             assert not server.is_alive()
         finally:
             listener.close()
+
+
+def op_runs_strategy():
+    """Op lists made of runs of block writes of one word count, broken by
+    ops of every kind, multi-word writes among them."""
+    address = st.integers(min_value=0, max_value=0xFFFF)
+    word = st.integers(min_value=0, max_value=0xFFFF)
+
+    def run(count):
+        words = st.lists(word, min_size=count, max_size=count).map(tuple)
+        writes = st.builds(BlockWriteOp, address, words)
+        return st.lists(writes, min_size=1, max_size=12)
+
+    piece = st.one_of(
+        st.integers(0, 3).flatmap(run), op_strategy().map(lambda op: [op])
+    )
+    return st.lists(piece, max_size=6).map(lambda pieces: sum(pieces, []))
+
+
+def result_runs_strategy():
+    """Result lists made of runs of bare results, broken by results with
+    words or a detail."""
+    bare = st.builds(
+        AccessResult,
+        kind=st.sampled_from(sorted(OP_KIND_NAMES.values())),
+        target_epc=st.sampled_from((EPC, bytes(12))),
+        success=st.booleans(),
+        attempts=U32,
+    )
+    piece = st.one_of(
+        st.lists(bare, min_size=1, max_size=12),
+        access_result_strategy().map(lambda result: [result]),
+    )
+    return st.lists(piece, max_size=6).map(lambda pieces: sum(pieces, []))
+
+
+def _outcome(frame: bytes):
+    try:
+        return decode(frame)
+    except DecodeError as err:
+        return err.kind, str(err)
+
+
+class TestRunsMatchTheReference:
+    """Runs of uniform records are packed and read whole; the bytes, and
+    every decode or decode error, are those of the one-record-at-a-time
+    reference in ``oracles``."""
+
+    @settings(max_examples=200)
+    @given(op_runs_strategy())
+    def test_ops_encode_as_the_reference(self, ops):
+        spec = AddAccessSpec(1, 2, EPC, (1,), 3, tuple(ops))
+        head = len(encode(replace(spec, ops=())))
+        assert encode(spec)[head:] == pack_ops_oracle(ops)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            op_runs_strategy().map(
+                lambda ops: AddAccessSpec(1, 2, EPC, (1,), 3, tuple(ops))
+            ),
+            result_runs_strategy().map(
+                lambda results: ROAccessReport(1, (), tuple(results))
+            ),
+        ),
+        st.data(),
+    )
+    def test_every_cut_decodes_as_the_reference(self, msg, data):
+        if isinstance(msg, AddAccessSpec):
+            field, records = "ops", msg.ops
+            # a record's kind, and a block write's word count
+            shape = (0, 3, 4)
+        else:
+            field, records = "access_results", msg.access_results
+            # a result's code, word count and detail length
+            shape = (0, 18, 19, 20, 21)
+        frame = bytearray(encode(msg))
+        corruption = data.draw(st.sampled_from(("none", "shape", "count", "byte")))
+        if corruption == "shape" and records:
+            # Another shape, or an unknown kind, in a run or at its edge.
+            index = data.draw(st.integers(0, len(records) - 1))
+            at = len(encode(replace(msg, **{field: records[:index]})))
+            at += data.draw(st.sampled_from(shape))
+            if at < len(frame):
+                frame[at] = data.draw(st.integers(0, 255))
+        elif corruption == "count":
+            # Fewer records than the frame holds: a run must stop at the
+            # count, and the rest are trailing bytes.
+            at = len(encode(replace(msg, **{field: ()}))) - 2
+            count = data.draw(st.integers(0, len(records)))
+            frame[at : at + 2] = count.to_bytes(2, "big")
+        elif corruption == "byte" and len(frame) > HEADER_LEN:
+            at = data.draw(st.integers(HEADER_LEN, len(frame) - 1))
+            frame[at] = data.draw(st.integers(0, 255))
+        cuts = [_cut(bytes(frame), n) for n in range(HEADER_LEN, len(frame) + 1)]
+        with mock.patch.multiple(
+            llrp, _parse_ops=parse_ops_oracle, _parse_results=parse_results_oracle
+        ):
+            expected = [_outcome(cut) for cut in cuts]
+        assert [_outcome(cut) for cut in cuts] == expected
 
 
 class TestFrameStream:

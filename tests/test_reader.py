@@ -1303,6 +1303,80 @@ class TestServerClient:
                 assert started == added
                 client.keepalive()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        target=st.sampled_from((1, 4, 6, None)),  # a tag, or an unknown EPC
+        antennas=st.lists(st.sampled_from((0, 1, 2, 3, 4, 255)), max_size=3),
+        max_retries=st.integers(0, 8),
+        ops=st.lists(
+            st.one_of(
+                st.just(GotoBiosOp()),
+                st.builds(
+                    BlockWriteOp,
+                    st.sampled_from((0x4400, 0x4402, 0xFBFE, 0xFC00, 0xFFFE)),
+                    st.lists(st.integers(0, 0xFFFF), max_size=3).map(tuple),
+                ),
+                st.builds(
+                    ReadOp,
+                    st.sampled_from((0x4400, 0xFC00, 0xFFFE)),
+                    st.sampled_from((0, 1, 2, 0xFFFF)),
+                ),
+                st.builds(
+                    ChecksumOp,
+                    st.sampled_from((0x4400, 0xFC00, 0xFFFF)),
+                    st.sampled_from((0, 1, 4, 0xFFFF)),
+                ),
+                st.builds(
+                    CommitOp,
+                    st.lists(
+                        st.tuples(
+                            st.sampled_from((0x4400, 0xFFFE)),
+                            st.sampled_from((0, 2, 0xFFFF)),
+                            st.integers(0, 0xFFFF),
+                        ),
+                        max_size=2,
+                    ).map(tuple),
+                    st.booleans(),
+                    st.booleans(),
+                ),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_every_accessspec_exchange_is_answered(
+        self, seed, target, antennas, max_retries, ops
+    ):
+        # Every frame gets a reply, and START runs what ADD accepted just
+        # as the reader does in process on a World with the same seed.
+        epc = bytes(12) if target is None else default_epc(target)
+        with ReaderServer(make_reader(seed=seed)) as server:
+            with ReaderClient(server.host, server.port) as client:
+                add = AddAccessSpec(
+                    client._take_id(), 1, epc, tuple(antennas), max_retries, tuple(ops)
+                )
+                try:
+                    client.request(add)
+                    added = True
+                except ReaderError as exc:
+                    assert exc.error.code == ErrorCode.UNKNOWN_ANTENNA
+                    assert server.accessspecs == {}
+                    added = False
+                client.keepalive()
+                try:
+                    reports, _ = client.request(StartROSpec(client._take_id(), 1))
+                    started = True
+                except ReaderError as exc:
+                    assert exc.error.code == ErrorCode.UNKNOWN_ROSPEC
+                    started = False
+                assert started == added
+                client.keepalive()
+        if added:
+            local = make_reader(seed=seed).execute_access(
+                ops, epc, tuple(antennas), max_retries
+            )
+            assert [r for report in reports for r in report.access_results] == local
+
     def test_rospec_without_antennas_is_refused(self):
         with ReaderServer(make_reader()) as server:
             with ReaderClient(server.host, server.port) as client:
@@ -1370,6 +1444,27 @@ class TestServerClient:
                 )
             finally:
                 raw.close()
+
+    def test_oversized_frame_reply_arrives_before_a_clean_close(self):
+        # The body that follows a refused header is read and dropped
+        # before the close, so the client's writes all land and it reads
+        # the reply and then end of stream: never a reset.
+        header = bytes([1]) + (4).to_bytes(2, "big") + bytes(4)
+        header += (2 << 20).to_bytes(4, "big")
+        for _ in range(3):
+            with ReaderServer(make_reader()) as server:
+                address = (server.host, server.port)
+                with socket.create_connection(address, timeout=10.0) as raw:
+                    raw.sendall(header)
+                    for _ in range(48):  # 3 MiB of body
+                        raw.sendall(bytes(64 << 10))
+                    chunks = []
+                    while piece := raw.recv(65536):
+                        chunks.append(piece)
+                reply = decode(b"".join(chunks))
+                assert reply == ErrorMessage(
+                    0, int(ErrorCode.MALFORMED), "length-mismatch"
+                )
 
     def test_error_replies_echo_msg_id_zero_for_broken_frames(self):
         # decode failures have no trustworthy msg id, so the server uses 0

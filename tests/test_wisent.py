@@ -118,6 +118,25 @@ class TestImage:
     def test_byte_count(self):
         assert parse_ti_txt(SAMPLE).byte_count == 21
 
+    def test_write_ops_are_built_once_per_chunk_size(self):
+        # An even image is its own word-aligned form, so every transfer
+        # of it reuses the block writes the first one built.
+        image = FirmwareImage((FirmwareSegment(0x4400, bytes(range(10))),))
+        assert image.word_aligned() is image
+        ops = image.write_ops(2)
+        assert ops == (
+            (
+                BlockWriteOp(0x4400, (0x0100, 0x0302)),
+                BlockWriteOp(0x4404, (0x0504, 0x0706)),
+                BlockWriteOp(0x4408, (0x0908,)),
+            ),
+        )
+        assert image.write_ops(2) is ops
+        assert [len(op.words) for op in image.write_ops(4)[0]] == [4, 1]
+        copy = replace(image, obeys_goto_bios=False)
+        assert copy == replace(image, obeys_goto_bios=False)
+        assert copy.write_ops(2) == ops and copy.write_ops(2) is not ops
+
     def test_overlap_rejected_at_construction(self):
         with pytest.raises(ValueError):
             FirmwareImage(
@@ -306,6 +325,19 @@ class TestReprogram:
         commit = flat_ops[4]
         assert isinstance(commit, CommitOp)
         assert commit.segments == ((0x4400, 4, checksum_of(image)),)
+
+    def test_every_transfer_of_an_image_sends_the_same_writes(self):
+        image = small_image()
+        calls = []
+        for _ in range(2):
+            script = [{}, {}, {}, {"data": (checksum_of(image),)}, {}]
+            session = FakeSession(script=script)
+            reprogram(EPC, image, session, TransferPolicy(), tag_id=1)
+            calls.append(session.calls)
+        first, second = (session_calls[1][0] for session_calls in calls)
+        assert first is second
+        writes = (BlockWriteOp(0x4400, (0x0201,)), BlockWriteOp(0x4402, (0x0403,)))
+        assert first == writes
 
     def test_chunking_respects_policy(self):
         image = FirmwareImage((FirmwareSegment(0x4400, bytes(range(16))),))
