@@ -129,9 +129,10 @@ class RoundResult:
 class AccessResult:
     """Outcome of one retried access operation against one tag.
 
-    Not frozen: one is built per op on each side of the wire, and a
-    frozen dataclass's ``__init__`` costs about four times as much.  No
-    code mutates or hashes one.
+    Not frozen, unlike BlockWriteOp: one is built for every op a call
+    runs, on each side of the wire, and a frozen dataclass's ``__init__``
+    costs about four times as much.  So results are never shared between
+    calls or reports, and no code mutates or hashes one.
     """
 
     kind: str

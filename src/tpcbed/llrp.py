@@ -107,10 +107,15 @@ class ReadOp:
     word_count: int
 
 
-# Not frozen, like AccessResult and for the same reason: one is built per
-# word chunk on each side of the wire.  No code mutates or hashes one.
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class BlockWriteOp:
+    """Words to write from ``start_address`` on.
+
+    Frozen because one is shared: an image builds its write ops once for
+    every transfer, and one connection's decoder once per distinct run
+    (see WriteRunMemo).  ``words`` must be a tuple for the same reason.
+    """
+
     kind: ClassVar[str] = OP_KIND_NAMES[_BLOCK_WRITE]
     start_address: int
     words: tuple[int, ...]
@@ -139,6 +144,21 @@ class CommitOp:
 
 
 AccessOp = ReadOp | BlockWriteOp | GotoBiosOp | ChecksumOp | CommitOp
+
+
+class WriteRunMemo:
+    """The last run of block writes one end of a connection packed or read.
+
+    ``encode`` reuses ``packed`` for a spec whose ops are the tuple
+    ``ops`` itself, ``decode`` reuses ``ops`` for a run whose bytes equal
+    ``packed``: the bytes and ops are those of packing or reading afresh.
+    """
+
+    __slots__ = ("ops", "packed")
+
+    def __init__(self) -> None:
+        self.ops: tuple[BlockWriteOp, ...] = ()
+        self.packed = b""
 
 
 # -- messages -------------------------------------------------------------
@@ -334,7 +354,7 @@ def _pack_op(op: AccessOp, out: list[bytes]) -> None:
         raise EncodeError(f"unknown access op {op!r}")
 
 
-def _pack_payload(msg: Message, out: list[bytes]) -> None:
+def _pack_payload(msg: Message, out: list[bytes], memo: WriteRunMemo | None) -> None:
     """Append the payload of ``msg``, one of _MESSAGE_CLASSES, to ``out``."""
     if isinstance(msg, CapabilitiesResponse):
         out.append(_pack_antennas(msg.antenna_ids))
@@ -353,12 +373,18 @@ def _pack_payload(msg: Message, out: list[bytes]) -> None:
         out.append(_pack_antennas(msg.antenna_ids))
         if not 0 <= msg.max_retries <= 0xFFFF:
             raise EncodeError("max_retries must fit in u16")
-        out.append(_U16_PAIR.pack(msg.max_retries, len(msg.ops)))
+        ops = msg.ops
+        out.append(_U16_PAIR.pack(msg.max_retries, len(ops)))
+        if memo is not None and ops is memo.ops:
+            out.append(memo.packed)
+            return
         # Block writes come in runs of one word count, so the layout is
         # looked up again only where the count changes.
+        first = len(out)
         append = out.append
         count = pack = None
-        for op in msg.ops:
+        writes_only = type(ops) is tuple
+        for op in ops:
             if isinstance(op, BlockWriteOp):
                 words = op.words
                 if len(words) != count:
@@ -367,6 +393,9 @@ def _pack_payload(msg: Message, out: list[bytes]) -> None:
                 append(pack(_BLOCK_WRITE, op.start_address, count, *words))
             else:
                 _pack_op(op, out)
+                writes_only = False
+        if memo is not None and writes_only:
+            memo.ops, memo.packed = ops, b"".join(out[first:])
     elif isinstance(msg, (StartROSpec, StopROSpec)):
         out.append(_U32.pack(msg.rospec_id))
     elif isinstance(msg, ROAccessReport):
@@ -400,18 +429,20 @@ def _pack_payload(msg: Message, out: list[bytes]) -> None:
     # the other four messages have an empty payload
 
 
-def encode(msg: Message) -> bytes:
+def encode(msg: Message, memo: WriteRunMemo | None = None) -> bytes:
     """Serialize a message to one frame.  Deterministic: same message, same bytes.
 
     A field that does not fit its wire width raises EncodeError, as does
-    anything else the frame cannot carry.
+    anything else the frame cannot carry.  With a ``memo``, an
+    ADD_ACCESSSPEC made only of block writes keeps its packed ops there,
+    and the next spec carrying the same ops tuple reuses them.
     """
     msg_type = _WIRE_TYPES.get(type(msg))
     if msg_type is None:
         raise EncodeError(f"cannot encode {type(msg).__name__}")
     parts = [b""]  # the header, once the payload length is known
     try:
-        _pack_payload(msg, parts)
+        _pack_payload(msg, parts, memo)
     except EncodeError:
         raise
     except (struct.error, ValueError) as exc:  # a field out of its range
@@ -492,12 +523,15 @@ def _run_end(
     return end
 
 
-def _parse_ops(data: bytes, pos: int, count: int) -> tuple[tuple[AccessOp, ...], int]:
+def _parse_ops(
+    data: bytes, pos: int, count: int, memo: WriteRunMemo
+) -> tuple[tuple[AccessOp, ...], int]:
     """``count`` access ops from ``pos`` on, and the offset after them.
 
     Block writes are read a run at a time: every following block write
     with the same word count, up to the first op of another shape, in one
-    ``iter_unpack``.  What ends a run is read by the per-op code.
+    ``iter_unpack``, or taken from ``memo`` when its bytes are the run's.
+    What ends a run is read by the per-op code.
     """
     ops: list[AccessOp] = []
     append = ops.append
@@ -516,10 +550,14 @@ def _parse_ops(data: bytes, pos: int, count: int) -> tuple[tuple[AccessOp, ...],
             end = _run_end(data, pos, count - len(ops), size, columns)
             if end == pos:  # the op runs past the end of the payload
                 raise _truncated()
-            ops += [
-                BlockWriteOp(fields[1], fields[3:])
-                for fields in _block_write(n).iter_unpack(data[pos:end])
-            ]
+            run = data[pos:end]
+            if run != memo.packed:
+                unpack = _block_write(n).iter_unpack
+                memo.ops = tuple([BlockWriteOp(f[1], f[3:]) for f in unpack(run)])
+                memo.packed = run
+            if len(memo.ops) == count:  # the whole spec is this one run
+                return memo.ops, end
+            ops += memo.ops
             pos = end
         elif kind == _READ:
             append(ReadOp(*pair(data, pos + 1)))
@@ -598,7 +636,7 @@ def _parse_results(
 
 
 def _parse_payload(
-    cls: type, msg_id: int, data: bytes, pos: int
+    cls: type, msg_id: int, data: bytes, pos: int, memo: WriteRunMemo
 ) -> tuple[Message, int]:
     """The message of class ``cls`` whose payload starts at ``pos``."""
     if cls is CapabilitiesResponse:
@@ -621,7 +659,7 @@ def _parse_payload(
         spec_id, epc = _SPEC_HEAD.unpack_from(data, pos)
         antenna_ids, pos = _parse_antennas(data, pos + _SPEC_HEAD.size)
         max_retries, op_count = _U16_PAIR.unpack_from(data, pos)
-        ops, pos = _parse_ops(data, pos + 4, op_count)
+        ops, pos = _parse_ops(data, pos + 4, op_count, memo)
         return AddAccessSpec(msg_id, spec_id, epc, antenna_ids, max_retries, ops), pos
     if cls is StartROSpec or cls is StopROSpec:
         (rospec_id,) = _U32.unpack_from(data, pos)
@@ -659,11 +697,13 @@ def _parse_header(data: bytes) -> tuple[int, int, int]:
     return msg_type, msg_id, length
 
 
-def decode(data: bytes) -> Message:
+def decode(data: bytes, memo: WriteRunMemo | None = None) -> Message:
     """Decode exactly one frame; the declared length must match the input.
 
     Error kinds, in checking order: short-header, bad-version,
-    length-mismatch, unknown-type, malformed-payload.
+    length-mismatch, unknown-type, malformed-payload.  With a ``memo``, a
+    run of block writes whose bytes equal the last one read there gets
+    the ops read then.
     """
     msg_type, msg_id, length = _parse_header(data)
     if length != len(data):
@@ -675,7 +715,9 @@ def decode(data: bytes) -> Message:
     if cls is None:
         raise DecodeError(DecodeErrorKind.UNKNOWN_TYPE, f"message type {msg_type}")
     try:
-        msg, pos = _parse_payload(cls, msg_id, data, HEADER_LEN)
+        msg, pos = _parse_payload(
+            cls, msg_id, data, HEADER_LEN, memo or WriteRunMemo()
+        )
     except (struct.error, IndexError):  # a read past the end of the payload
         raise _truncated() from None
     except UnicodeDecodeError:
@@ -701,6 +743,7 @@ class FrameStream:
 
     def __init__(self) -> None:
         self._buf = bytearray()
+        self._runs = WriteRunMemo()  # what this stream last read
 
     def feed(self, data: bytes) -> list[Message | DecodeError]:
         self._buf.extend(data)
@@ -717,7 +760,7 @@ class FrameStream:
             frame = bytes(self._buf[:length])
             del self._buf[:length]  # consume exactly the declared frame
             try:
-                out.append(decode(frame))
+                out.append(decode(frame, self._runs))
             except DecodeError as err:
                 out.append(err)
         return out

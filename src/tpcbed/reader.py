@@ -36,6 +36,7 @@ from .llrp import (
     ChecksumOp,
     CommitOp,
     DecodeError,
+    EPC_LEN,
     ErrorCode,
     ErrorMessage,
     FrameStream,
@@ -51,6 +52,7 @@ from .llrp import (
     StopROSpec,
     SuccessMessage,
     TagReportEntry,
+    WriteRunMemo,
     encode,
     encode_frames,
 )
@@ -304,7 +306,14 @@ class Reader:
         than one is enabled.  A command the tag actively refuses is not
         retried, and a failed command stops the sequence: no frames are
         spent on commands after a failure.
+
+        What the wire cannot carry, an EPC of other than EPC_LEN bytes or
+        a ``max_retries`` outside 0-65535, raises ValueError up front.
         """
+        if len(target_epc) != EPC_LEN:
+            raise ValueError(f"EPC must be {EPC_LEN} bytes, got {len(target_epc)}")
+        if not 0 <= max_retries <= 0xFFFF:
+            raise ValueError("max_retries must fit in u16")
         world = self.world
         geometry = world.config.geometry
         tag = world.tag_by_epc(target_epc)
@@ -348,7 +357,8 @@ class Reader:
         # written back from ``states`` (``held`` is the state they hold)
         # before a dispatch or a harvest, the clock from ``now`` before a
         # dispatch or a log line, and both when each op ends.  The mode half
-        # of ``responsive`` is read again only after a dispatch or a harvest.
+        # of ``responsive`` is read again only after a harvest or a
+        # dispatch of the two ops that change it, goto-bios and commit.
         tags = list(world.tags.values())
         state_ids: dict[tuple[float, ...], int] = {}
         states: list[tuple[float, ...]] = []
@@ -360,14 +370,15 @@ class Reader:
                 states.append(energies)
             return found
 
-        def hold(state: int, held: int) -> int:
-            if state != held:
-                for t, energy_uj in zip(tags, states[state]):
-                    t.energy_uj = energy_uj
+        def hold(state: int) -> int:
+            for t, energy_uj in zip(tags, states[state]):
+                t.energy_uj = energy_uj
             return state
 
         def harvest(turn: int, state: int, held: int) -> tuple[int, float | None]:
-            before = after = states[hold(state, held)]
+            if state != held:
+                hold(state)
+            before = after = states[state]
             browned_out = False
             if harvest_all(antennas[turn], slot_ms):
                 after = tuple([t.energy_uj for t in tags])
@@ -390,18 +401,25 @@ class Reader:
         state = held = state_id(tuple([t.energy_uj for t in tags]))
         now = clock.now_ms
         mode_ok = listening()
+        write_words = None if tag is None else tag.on_write_words
+        turns = len(antennas)
 
+        op_type = None
         for op in ops:
-            handler = OP_HANDLERS.get(type(op))
-            if handler is None:
-                raise TypeError(f"not an access op: {type(op).__name__}")
-            kind = op.kind
-            attempts = 0
+            # Resolved once per run of ops of one type.
+            if type(op) is not op_type:
+                op_type = type(op)
+                handler = OP_HANDLERS.get(op_type)
+                if handler is None:
+                    raise TypeError(f"not an access op: {op_type.__name__}")
+                kind = op.kind
+                writes = op_type is BlockWriteOp
+                moves_mode = op_type is GotoBiosOp or op_type is CommitOp
             success = False
             detail = None
             data: tuple[int, ...] = ()
-            for attempt in range(max_retries + 1):
-                turn = attempt % len(antennas)
+            for attempt in range(max_retries + 1):  # at least one
+                turn = attempt % turns
                 step = replays[turn].get(state)
                 if step is None:
                     step = harvest(turn, state, held)
@@ -409,25 +427,31 @@ class Reader:
                     mode_ok = listening()  # a brownout resets the mode
                 state, p2 = step
                 now += slot_ms
-                attempts += 1
 
                 if p2 is None or not mode_ok:
                     continue
                 if random() >= p2:
                     continue
                 clock.now_ms = now
-                held = hold(state, held)
-                ack = handler(op, tag)
-                mode_ok = listening()
+                if state != held:
+                    held = hold(state)
+                if writes:
+                    ack = write_words(op.start_address, op.words)
+                else:
+                    ack = handler(op, tag)
+                    if moves_mode:
+                        mode_ok = listening()
                 if ack is None:
                     continue
                 success = ack.ok
                 detail = ack.reason
-                data = tuple(ack.data)
+                data = ack.data
                 break
 
+            attempts = attempt + 1
             clock.now_ms = now
-            held = hold(state, held)
+            if state != held:
+                held = hold(state)
             results.append(
                 AccessResult(kind, target_epc, success, attempts, detail, data)
             )
@@ -505,9 +529,10 @@ def observation_to_entry(row: TagObservation) -> TagReportEntry:
 def _disable_nagle(sock: socket.socket) -> None:
     """Send every frame as soon as it is written.
 
-    A START_ROSPEC reply is a report frame followed by a terminal frame.
-    With Nagle on, the second small write waits for the peer to ACK the
-    first, and a delayed ACK stalls every access for about 40 ms.
+    A START_ROSPEC reply, a report frame and a terminal frame, goes out
+    in one write, but a write longer than one segment ends in a short
+    one.  With Nagle on, that short segment waits for the peer to ACK
+    the rest, and a delayed ACK stalls an access for about 40 ms.
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
@@ -628,10 +653,16 @@ class ReaderServer(TcpServer):
         self.rospecs: dict[int, AddROSpec] = {}
         self.accessspecs: dict[int, AddAccessSpec] = {}
         self._busy = threading.Lock()
+        self._active: socket.socket | None = None  # set while _busy is held
 
     def _admit(self, conn: socket.socket) -> bool:
         _disable_nagle(conn)
-        if self._busy.acquire(blocking=False):
+        # A client may reconnect before the old connection's thread has seen
+        # its close: when the old client has gone, wait for that thread.
+        if self._busy.acquire(blocking=False) or (
+            self._client_left() and self._busy.acquire(timeout=DISCARD_TIMEOUT_S)
+        ):
+            self._active = conn
             return True
         try:
             conn.sendall(
@@ -644,6 +675,15 @@ class ReaderServer(TcpServer):
         finally:
             conn.close()
         return False
+
+    def _client_left(self) -> bool:
+        """Whether the client being served has closed or reset its end."""
+        try:
+            return not self._active.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:  # still there, with nothing sent
+            return False
+        except OSError:  # a reset, or closed by its thread
+            return True
 
     def _serve(self, conn: socket.socket) -> None:
         stream = FrameStream()
@@ -665,9 +705,9 @@ class ReaderServer(TcpServer):
                         replies = [_malformed(item)]
                     else:
                         replies = self._handle(item)
-                    for reply in replies:
-                        for frame in encode_frames(reply):
-                            conn.sendall(frame)
+                    # One write per request, so the client wakes once.
+                    frames = [f for reply in replies for f in encode_frames(reply)]
+                    conn.sendall(b"".join(frames))
         finally:
             conn.close()
             self.rospecs.clear()
@@ -764,6 +804,7 @@ class ReaderClient:
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         _disable_nagle(self._sock)
         self._stream = FrameStream()
+        self._sent = WriteRunMemo()  # what this client last packed
         self._pending: list[Message] = []
         self._next_id = 1
 
@@ -797,7 +838,7 @@ class ReaderClient:
 
     def request(self, msg: Message) -> tuple[list[ROAccessReport], Message]:
         """Send one message, collect interim reports, return the terminal."""
-        self._sock.sendall(encode(msg))
+        self._sock.sendall(encode(msg, self._sent))
         reports: list[ROAccessReport] = []
         while True:
             reply = self._read_message()

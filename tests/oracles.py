@@ -446,9 +446,10 @@ def pack_ops_oracle(ops) -> bytes:
     return b"".join(out)
 
 
-def parse_ops_oracle(data, pos, count):
+def parse_ops_oracle(data, pos, count, memo=None):
     """``count`` access ops from ``pos`` on, one at a time; the codec's
-    ``_parse_ops`` signature, so a test can put it in that one's place."""
+    ``_parse_ops`` signature, so a test can put it in that one's place.
+    It reads every op afresh and leaves ``memo`` alone."""
     from tpcbed.llrp import (
         BlockWriteOp,
         ChecksumOp,

@@ -1,5 +1,6 @@
 """Wire protocol tests: golden frames, round-trips, error taxonomy, framing."""
 
+import dataclasses
 import socket
 import struct
 import threading
@@ -620,6 +621,132 @@ class TestRunsMatchTheReference:
         ):
             expected = [_outcome(cut) for cut in cuts]
         assert [_outcome(cut) for cut in cuts] == expected
+
+
+@st.composite
+def write_run_frames(draw):
+    """ADD_ACCESSSPEC frames around one run of block writes: the run, one
+    of its prefixes, the run less one write or with one changed, the run
+    with another op before or after it, some cut or corrupted, several
+    at the run's edges."""
+    n = draw(st.integers(0, 3))
+    word = st.integers(0, 0xFFFF)
+    write = st.builds(
+        BlockWriteOp,
+        st.integers(0, 0xFFFF),
+        st.lists(word, min_size=n, max_size=n).map(tuple),
+    )
+    run = tuple(draw(st.lists(write, min_size=1, max_size=8)))
+    index = st.integers(0, len(run) - 1)
+    variant = st.one_of(
+        st.just(run),
+        index.map(lambda k: run[:k]),
+        index.map(lambda k: run[:k] + run[k + 1 :]),
+        # one write replaced
+        st.tuples(index, write).map(
+            lambda kw: run[: kw[0]] + kw[1:] + run[kw[0] + 1 :]
+        ),
+        op_strategy().map(lambda op: run + (op,)),
+        op_strategy().map(lambda op: (op,) + run),
+    )
+    frames = []
+    for spec_id, ops in enumerate(draw(st.lists(variant, min_size=1, max_size=6))):
+        spec = AddAccessSpec(spec_id, spec_id, EPC, (), 0, ops)
+        frame = bytearray(encode(spec))
+        corruption = draw(st.sampled_from(("none", "none", "edge", "byte", "cut")))
+        if corruption == "edge" and ops:
+            # a record's kind or word count, at a write or at the end of one
+            at = len(encode(replace(spec, ops=ops[: draw(st.integers(0, len(ops)))])))
+            at += draw(st.sampled_from((0, 3, 4)))
+            if at < len(frame):
+                frame[at] = draw(st.integers(0, 255))
+        elif corruption == "byte":
+            at = draw(st.integers(HEADER_LEN, len(frame) - 1))
+            frame[at] = draw(st.integers(0, 255))
+        elif corruption == "cut":
+            frame = _cut(bytes(frame), draw(st.integers(HEADER_LEN, len(frame))))
+        frames.append(bytes(frame))
+    return frames
+
+
+def _item(item):
+    if isinstance(item, DecodeError):
+        return item.kind, str(item)
+    return item
+
+
+class TestWriteRunMemo:
+    """Each end of a connection keeps the last block-write run it packed
+    or read; reusing it changes no byte, message or error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(write_run_frames())
+    def test_a_warm_stream_decodes_as_fresh_decodes(self, frames):
+        warm = FrameStream().feed(b"".join(frames))
+        assert [_item(item) for item in warm] == [_outcome(f) for f in frames]
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.one_of(
+                    # writes alone, all of one length
+                    st.lists(
+                        st.builds(BlockWriteOp, st.integers(0, 3), st.just((1,))),
+                        min_size=k,
+                        max_size=k,
+                    ),
+                    op_runs_strategy(),
+                ).map(tuple),
+                min_size=1,
+                max_size=3,
+            )
+        ),
+        st.lists(st.tuples(st.integers(0, 2), st.booleans()), min_size=1, max_size=8),
+    )
+    def test_an_encode_that_reuses_packed_bytes_equals_a_fresh_one(
+        self, op_lists, picks
+    ):
+        memo = llrp.WriteRunMemo()
+        for spec_id, (pick, copy) in enumerate(picks):
+            # one of a few op tuples again, or an equal copy of it
+            ops = op_lists[pick % len(op_lists)]
+            ops = tuple(list(ops)) if copy else ops
+            spec = AddAccessSpec(spec_id, spec_id, EPC, (1,), 3, ops)
+            assert encode(spec, memo) == encode(spec)
+
+    def test_only_a_spec_of_writes_alone_is_kept_and_then_reused(self):
+        memo = llrp.WriteRunMemo()
+        run = tuple(BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(4))
+        frame = encode(AddAccessSpec(1, 1, EPC, (), 0, run), memo)
+        packed = memo.packed
+        assert memo.ops is run and frame.endswith(packed) and len(packed) == 4 * 7
+        encode(_spec(GotoBiosOp(), *run), memo)  # another op: not kept
+        assert memo.ops is run and memo.packed is packed
+        with pytest.raises(EncodeError):
+            encode(_spec(BlockWriteOp(0x4400, (0x10000,))), memo)
+        assert memo.ops is run
+        spec = AddAccessSpec(9, 8, EPC, (2,), 7, run)
+        assert encode(spec, memo) == encode(spec)
+
+    def test_a_stream_reads_a_repeated_run_into_the_same_ops(self):
+        run = tuple(BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(4))
+        stream = FrameStream()
+        first, second, other = stream.feed(
+            encode(_spec(*run, spec_id=1))
+            + encode(_spec(*run, spec_id=2))
+            + encode(_spec(GotoBiosOp(), *run, spec_id=3))
+        )
+        assert first.ops == run and second.ops is first.ops
+        assert other.ops[1:] == run and all(
+            a is b for a, b in zip(other.ops[1:], first.ops)
+        )
+
+    def test_block_write_op_is_frozen(self):
+        op = BlockWriteOp(0x4400, (1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.words = (3,)
+        assert hash(op) == hash(BlockWriteOp(0x4400, (1, 2)))
 
 
 class TestFrameStream:

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import socket
+import threading
 import time
 import typing
 
@@ -31,6 +32,7 @@ from tpcbed.llrp import (
     ErrorMessage,
     GetCapabilities,
     GotoBiosOp,
+    HEADER_LEN,
     Keepalive,
     KeepaliveAck,
     ReadOp,
@@ -39,6 +41,7 @@ from tpcbed.llrp import (
     SuccessMessage,
     decode,
     encode,
+    encode_frames,
 )
 from tpcbed.reader import (
     MAX_DURATION_S,
@@ -1026,6 +1029,140 @@ class TestGotoBiosBudgetFitsTheWire:
         replace(config, inventory=slower).validate()
 
 
+class TestLocalAndRemoteRefuseTheSameInputs:
+    """What the wire cannot carry, the in-process reader refuses too, with
+    the same text and before the first attempt."""
+
+    @pytest.mark.parametrize(
+        "target, max_retries",
+        [(default_epc(1), -3), (default_epc(1), 70_000), (default_epc(1)[:5], 16)],
+        ids=["negative-retries", "retries-over-u16", "5-byte-epc"],
+    )
+    def test_refused_before_any_attempt_on_both_paths(self, target, max_retries):
+        errors = []
+        for remote in (False, True):
+            reader = make_reader(seed=3)
+            rng = reader.world.rng.getstate()
+            with ReaderServer(reader) as server:
+                with ReaderClient(server.host, server.port) as client:
+                    session = client if remote else reader
+                    with pytest.raises(ValueError) as err:
+                        session.execute_access(
+                            [GotoBiosOp()], target, (2,), max_retries
+                        )
+            errors.append(str(err.value))
+            assert reader.world.clock.now_ms == 0.0
+            assert reader.world.rng.getstate() == rng
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("max_retries", [0, 0xFFFF])
+    def test_the_edges_of_the_range_give_the_same_results(self, max_retries):
+        ops = [GotoBiosOp(), ReadOp(0x4400, 2)]
+        local = make_reader(seed=3).execute_access(
+            ops, default_epc(1), (2,), max_retries
+        )
+        with ReaderServer(make_reader(seed=3)) as server:
+            with ReaderClient(server.host, server.port) as client:
+                remote = client.execute_access(ops, default_epc(1), (2,), max_retries)
+        assert remote == local
+
+
+class TestOneConnectionReusesAWriteRun:
+    def test_an_image_sent_to_three_tags_is_packed_and_read_once(self):
+        image = parse_ti_txt(
+            "@4400\n" + " ".join(f"{b:02x}" for b in range(48)) + "\nq\n"
+        )
+        policy = default_config().transfer
+        reader = make_reader(seed=7)
+        server = ReaderServer(reader)
+        handle = server._handle
+        read = []  # the write runs the server decoded
+
+        def spy(msg):
+            if isinstance(msg, AddAccessSpec) and isinstance(msg.ops[0], BlockWriteOp):
+                read.append(msg.ops)
+            return handle(msg)
+
+        server._handle = spy
+        packed = []  # the client's packed run after each transfer
+        with server:
+            with ReaderClient(server.host, server.port) as client:
+                session = RemoteReaderSession(client, reader.slot_duration_ms)
+                for tag_id in (0, 1, 2):
+                    antennas = choose_antennas(
+                        reader.world.config.geometry,
+                        reader.world.config.link,
+                        tag_id,
+                        tie_db=policy.antenna_tie_db,
+                    )
+                    stats = reprogram(
+                        default_epc(tag_id), image, session, policy,
+                        antennas=antennas, tag_id=tag_id,
+                    )
+                    assert stats.outcome == "success"
+                    packed.append(client._sent.packed)
+        (run,) = image.write_ops(policy.chunk_words)
+        assert len(read) == 3 and all(ops is read[0] for ops in read)
+        assert read[0] == run
+        assert len(packed[0]) == 7 * len(run)
+        assert all(p is packed[0] for p in packed)
+
+
+class _RecordingConn:
+    """A socket that records what each ``sendall`` was given."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.writes = []
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+        self.sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self.sock, name)
+
+
+class TestOneWritePerRequest:
+    def test_each_requests_replies_go_out_in_one_write(self):
+        requests = [
+            GetCapabilities(1),
+            AddAccessSpec(
+                2, 7, default_epc(1), (2,), 64, (GotoBiosOp(), ReadOp(0x4400, 2))
+            ),
+            StartROSpec(3, 7),
+            AddROSpec(4, 8, (2,), 2_000),
+            StartROSpec(5, 8),
+            StartROSpec(6, 8),  # consumed: an error
+            Keepalive(7),
+        ]
+        twin = ReaderServer(make_reader(seed=2))
+        expected = [
+            b"".join(
+                frame for reply in twin._handle(msg) for frame in encode_frames(reply)
+            )
+            for msg in requests
+        ]
+        twin._sock.close()
+        server = ReaderServer(make_reader(seed=2))
+        server_end, client_end = socket.socketpair()
+        conn = _RecordingConn(server_end)
+        server._busy.acquire()  # as _admit would
+        serving = threading.Thread(target=server._serve, args=(conn,))
+        serving.start()
+        with client_end:
+            client_end.sendall(b"".join(encode(msg) for msg in requests))
+            client_end.shutdown(socket.SHUT_WR)
+            received = b""
+            while chunk := client_end.recv(65536):
+                received += chunk
+        serving.join(timeout=10.0)
+        server._sock.close()
+        assert not serving.is_alive()
+        assert conn.writes == expected
+        assert received == b"".join(expected)
+
+
 class TestWireConversions:
     def test_observation_round_trip(self):
         from tpcbed.reader import TagObservation
@@ -1063,10 +1200,14 @@ class TestServerClient:
         with ReaderServer(make_reader()) as server:
             with ReaderClient(server.host, server.port) as first:
                 first.keepalive()
+                started = time.perf_counter()
                 with ReaderClient(server.host, server.port) as second:
                     with pytest.raises(ReaderError) as err:
                         second.keepalive()
                     assert err.value.error.code == 4
+                # refused at once, not after a wait for the first client
+                assert time.perf_counter() - started < 0.5
+                first.keepalive()
             # the slot frees once the first client disconnects
             deadline = time.time() + 5.0
             while time.time() < deadline:
@@ -1078,6 +1219,36 @@ class TestServerClient:
                     time.sleep(0.02)
             else:
                 pytest.fail("server never released the busy slot")
+
+    def test_a_client_that_reconnects_after_closing_is_served(self):
+        # Each new client connects right after the last one's close
+        # returned, before that connection's thread need have seen it.
+        with ReaderServer(make_reader()) as server:
+            for _ in range(100):
+                with ReaderClient(server.host, server.port) as client:
+                    client.keepalive()
+
+    def test_a_client_that_closes_mid_request_can_reconnect_once_it_ends(self):
+        # The first client sends two requests, reads the first reply and
+        # closes while the reader still works on the second.
+        server = ReaderServer(make_reader())
+        handle = server._handle
+
+        def slow_handle(msg):
+            if msg.msg_id == 2:
+                time.sleep(0.3)
+            return handle(msg)
+
+        server._handle = slow_handle
+        with server:
+            with socket.create_connection((server.host, server.port)) as first:
+                first.sendall(encode(Keepalive(1)) + encode(Keepalive(2)))
+                reply = b""
+                while len(reply) < HEADER_LEN:
+                    reply += first.recv(HEADER_LEN - len(reply))
+                assert decode(reply) == KeepaliveAck(1)
+            with ReaderClient(server.host, server.port) as second:
+                second.keepalive()
 
     def test_remote_inventory_matches_local(self):
         local = make_reader(seed=21).run_inventory((2,), 5_000.0)
