@@ -57,8 +57,10 @@ def _parse_tags_arg(text: str) -> tuple[int, ...]:
         for part in text.split(","):
             part = part.strip()
             if "-" in part:
-                lo, hi = part.split("-", 1)
-                ids.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split("-", 1))
+                if hi < lo:
+                    raise argparse.ArgumentTypeError(f"descending tag range {part!r}")
+                ids.extend(range(lo, hi + 1))
             else:
                 ids.append(int(part))
     except ValueError:

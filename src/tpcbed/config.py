@@ -262,6 +262,8 @@ def load_config(path: str | Path | None = None) -> TestbedConfig:
         raise ConfigError(f"{path}: {problem}") from None
     try:
         raw = yaml.safe_load(text)
+    except RecursionError:
+        raise ConfigError(f"{path}: YAML nested too deep") from None
     except yaml.YAMLError as exc:
         # one line: the parser's own text spans several
         mark = getattr(exc, "problem_mark", None)

@@ -419,7 +419,7 @@ class ControlServer(TcpServer):
                         request = json.loads(line)
                         if not isinstance(request, dict):
                             raise ValueError("request must be an object")
-                    except ValueError as exc:
+                    except (ValueError, RecursionError) as exc:  # nested too deep
                         reply = {
                             "ok": False,
                             "error": "bad-request",

@@ -112,8 +112,9 @@ class BlockWriteOp:
     """Words to write from ``start_address`` on.
 
     Frozen because one is shared: an image builds its write ops once for
-    every transfer, and one connection's decoder once per distinct run
-    (see WriteRunMemo).  ``words`` must be a tuple for the same reason.
+    every transfer, and one connection's decoder once per distinct spec
+    of block writes (see WriteRunMemo).  ``words`` must be a tuple for
+    the same reason.
     """
 
     kind: ClassVar[str] = OP_KIND_NAMES[_BLOCK_WRITE]
@@ -147,11 +148,13 @@ AccessOp = ReadOp | BlockWriteOp | GotoBiosOp | ChecksumOp | CommitOp
 
 
 class WriteRunMemo:
-    """The last run of block writes one end of a connection packed or read.
+    """The ops, and their packed bytes, of the last spec made of block
+    writes alone that one end of a connection packed or read.
 
     ``encode`` reuses ``packed`` for a spec whose ops are the tuple
-    ``ops`` itself, ``decode`` reuses ``ops`` for a run whose bytes equal
-    ``packed``: the bytes and ops are those of packing or reading afresh.
+    ``ops`` itself, ``decode`` reuses ``ops`` for a spec of as many ops
+    whose op bytes start with ``packed``: the bytes and ops are those of
+    packing or reading afresh.
     """
 
     __slots__ = ("ops", "packed")
@@ -309,13 +312,6 @@ def _words(count: int) -> struct.Struct:
     return struct.Struct(f">{count}H")
 
 
-@functools.lru_cache(maxsize=64)
-def _block_write(count: int) -> struct.Struct:
-    """The layout of a block write of ``count`` words: kind, address,
-    word count, words."""
-    return struct.Struct(f">BHH{count}H")
-
-
 def _pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
@@ -336,8 +332,12 @@ def _pack_antennas(ids: tuple[int, ...]) -> bytes:
 
 
 def _pack_op(op: AccessOp, out: list[bytes]) -> None:
-    """Append any op but a block write, which the ADD_ACCESSSPEC loop packs."""
-    if isinstance(op, ReadOp):
+    """Append the bytes of ``op`` to ``out``."""
+    if isinstance(op, BlockWriteOp):
+        words = op.words
+        out.append(_OP_HEAD.pack(_BLOCK_WRITE, op.start_address, len(words)))
+        out.append(_words(len(words)).pack(*words))
+    elif isinstance(op, ReadOp):
         out.append(_OP_HEAD.pack(_READ, op.start_address, op.word_count))
     elif isinstance(op, GotoBiosOp):
         out.append(bytes((_GOTO_BIOS,)))
@@ -378,24 +378,12 @@ def _pack_payload(msg: Message, out: list[bytes], memo: WriteRunMemo | None) -> 
         if memo is not None and ops is memo.ops:
             out.append(memo.packed)
             return
-        # Block writes come in runs of one word count, so the layout is
-        # looked up again only where the count changes.
         first = len(out)
-        append = out.append
-        count = pack = None
-        writes_only = type(ops) is tuple
         for op in ops:
-            if isinstance(op, BlockWriteOp):
-                words = op.words
-                if len(words) != count:
-                    count = len(words)
-                    pack = _block_write(count).pack
-                append(pack(_BLOCK_WRITE, op.start_address, count, *words))
-            else:
-                _pack_op(op, out)
-                writes_only = False
-        if memo is not None and writes_only:
-            memo.ops, memo.packed = ops, b"".join(out[first:])
+            _pack_op(op, out)
+        if memo is not None and type(ops) is tuple:
+            if all(isinstance(op, BlockWriteOp) for op in ops):
+                memo.ops, memo.packed = ops, b"".join(out[first:])
     elif isinstance(msg, (StartROSpec, StopROSpec)):
         out.append(_U32.pack(msg.rospec_id))
     elif isinstance(msg, ROAccessReport):
@@ -507,59 +495,31 @@ def _parse_str(data: bytes, pos: int) -> tuple[str, int]:
     return data[pos + 2 : end].decode("utf-8"), end
 
 
-def _run_end(
-    data: bytes, pos: int, count: int, size: int, columns: tuple[tuple[int, bytes], ...]
-) -> int:
-    """The end of the run of records of ``size`` bytes from ``pos`` on.
-
-    The run holds at most ``count`` records, each whole within ``data``
-    and holding, at each (offset, allowed) in ``columns``, one of the
-    ``allowed`` bytes.  It ends at the first record that does not.
-    """
-    end = pos + size * min(count, (len(data) - pos) // size)
-    for offset, allowed in columns:
-        column = data[pos + offset : end : size]
-        end = min(end, pos + size * (len(column) - len(column.lstrip(allowed))))
-    return end
-
-
 def _parse_ops(
     data: bytes, pos: int, count: int, memo: WriteRunMemo
 ) -> tuple[tuple[AccessOp, ...], int]:
     """``count`` access ops from ``pos`` on, and the offset after them.
 
-    Block writes are read a run at a time: every following block write
-    with the same word count, up to the first op of another shape, in one
-    ``iter_unpack``, or taken from ``memo`` when its bytes are the run's.
-    What ends a run is read by the per-op code.
+    ``memo.ops`` when there are as many of them and the bytes from
+    ``pos`` on start with ``memo.packed``; otherwise each op is read in
+    turn, and ops that are block writes alone are kept in ``memo``.
     """
+    if count == len(memo.ops) and data.startswith(memo.packed, pos):
+        return memo.ops, pos + len(memo.packed)
+    first = pos
     ops: list[AccessOp] = []
     append = ops.append
     pair = _U16_PAIR.unpack_from
-    while len(ops) < count:
+    writes_only = True
+    for _ in range(count):
         kind = data[pos]
         if kind == _BLOCK_WRITE:
-            # A run of block writes: the same kind and word count.
-            n = pair(data, pos + 1)[1]
-            size = 5 + 2 * n
-            columns = (
-                (0, bytes((kind,))),
-                (3, bytes((n >> 8,))),
-                (4, bytes((n & 0xFF,))),
-            )
-            end = _run_end(data, pos, count - len(ops), size, columns)
-            if end == pos:  # the op runs past the end of the payload
-                raise _truncated()
-            run = data[pos:end]
-            if run != memo.packed:
-                unpack = _block_write(n).iter_unpack
-                memo.ops = tuple([BlockWriteOp(f[1], f[3:]) for f in unpack(run)])
-                memo.packed = run
-            if len(memo.ops) == count:  # the whole spec is this one run
-                return memo.ops, end
-            ops += memo.ops
-            pos = end
-        elif kind == _READ:
+            start, n = pair(data, pos + 1)
+            append(BlockWriteOp(start, _words(n).unpack_from(data, pos + 5)))
+            pos += 5 + 2 * n
+            continue
+        writes_only = False
+        if kind == _READ:
             append(ReadOp(*pair(data, pos + 1)))
             pos += 5
         elif kind == _GOTO_BIOS:
@@ -580,7 +540,10 @@ def _parse_ops(
             raise DecodeError(
                 DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {kind}"
             )
-    return tuple(ops), pos
+    read = tuple(ops)
+    if writes_only:
+        memo.ops, memo.packed = read, data[first:pos]
+    return read, pos
 
 
 def _parse_results(
@@ -605,13 +568,16 @@ def _parse_results(
                 DecodeErrorKind.MALFORMED_PAYLOAD, f"unknown op kind {code}"
             )
         if not (n or size):
-            # A run of bare results: a known op kind, and zero bytes for
-            # the word count and the detail length.
+            # A run of bare results: at most the results left, each whole
+            # within ``data``, up to the first without a known op kind and
+            # zero bytes for the word count and the detail length.
             bare = _BARE_RESULT.size
-            columns = ((0, bytes(names)),) + tuple(
-                (at, b"\0") for at in range(_RESULT_HEAD.size - 2, bare)
-            )
-            end = _run_end(data, pos, count - len(results), bare, columns)
+            end = pos + bare * min(count - len(results), (len(data) - pos) // bare)
+            columns = [(0, bytes(names))]
+            columns += [(at, b"\0") for at in range(_RESULT_HEAD.size - 2, bare)]
+            for offset, allowed in columns:
+                column = data[pos + offset : end : bare]
+                end = min(end, pos + bare * (len(column) - len(column.lstrip(allowed))))
             results += [
                 AccessResult(names[code], epc, success != 0, attempts, None, ())
                 for code, epc, success, attempts, _, _ in _BARE_RESULT.iter_unpack(
@@ -701,9 +667,9 @@ def decode(data: bytes, memo: WriteRunMemo | None = None) -> Message:
     """Decode exactly one frame; the declared length must match the input.
 
     Error kinds, in checking order: short-header, bad-version,
-    length-mismatch, unknown-type, malformed-payload.  With a ``memo``, a
-    run of block writes whose bytes equal the last one read there gets
-    the ops read then.
+    length-mismatch, unknown-type, malformed-payload.  With a ``memo``, an
+    ADD_ACCESSSPEC made only of block writes keeps its ops there, and the
+    next spec of as many ops whose op bytes start with theirs reuses them.
     """
     msg_type, msg_id, length = _parse_header(data)
     if length != len(data):

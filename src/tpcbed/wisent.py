@@ -292,6 +292,8 @@ def load_firmware(path: str | Path) -> FirmwareImage:
     if sidecar.exists():
         try:
             meta = json.loads(sidecar.read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ConfigError(f"bad {sidecar}: JSON nested too deep") from None
         except ValueError as exc:
             raise ConfigError(f"bad {sidecar}: {exc}") from None
         if not isinstance(meta, dict):

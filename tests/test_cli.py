@@ -1,5 +1,6 @@
 """CLI smoke tests driving main() in-process."""
 
+import argparse
 import json
 import socket
 
@@ -18,6 +19,8 @@ def test_tag_list_parsing():
     assert _parse_tags_arg("6,0-2") == (6, 0, 1, 2)
     with pytest.raises(Exception):
         _parse_tags_arg("zero")
+    with pytest.raises(argparse.ArgumentTypeError, match="descending tag range '5-3'"):
+        _parse_tags_arg("5-3")
 
 
 def test_parser_rejects_bad_antenna_arg(capsys):
@@ -100,6 +103,11 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
             "error: CFG: bad YAML at line 2: expected ',' or ']', but got '<stream end>'",
         ),
         (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "link: " + "[" * 5000 + "]" * 5000 + "\n"},
+            "error: CFG: YAML nested too deep",
+        ),
+        (
             REPROGRAM,
             {"app.txt": "@4400\nZZ\nq\n"},
             "error: line 2: bad byte token 'ZZ'",
@@ -113,6 +121,11 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
             REPROGRAM + ["--connect", "127.0.0.1:9"],
             {"app.txt": FIRMWARE, "app.txt.behavior.json": "[true]"},
             "error: bad FW.behavior.json: expected a JSON object",
+        ),
+        (
+            REPROGRAM,
+            {"app.txt": FIRMWARE, "app.txt.behavior.json": "[" * 200000 + "]" * 200000},
+            "error: bad FW.behavior.json: JSON nested too deep",
         ),
         (
             INVENTORY + ["--config", "CFG"],
@@ -144,9 +157,11 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
         "config-value-type",
         "config-id-key",
         "config-yaml-syntax",
+        "config-nested-too-deep",
         "ti-txt",
         "sidecar-flag",
         "sidecar-root-remote",
+        "sidecar-nested-too-deep",
         "config-missing",
         "firmware-missing",
         "config-not-utf8",

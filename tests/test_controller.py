@@ -706,6 +706,12 @@ class TestControlProtocol:
                 reply = json.loads(stream.readline())
                 assert reply["error"] == "bad-request"
 
+                # nested too deep to parse, though under the line cap
+                stream.write(b"[" * 200000 + b"]" * 200000 + b"\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+                assert reply["error"] == "bad-request"
+
                 # the connection is still usable afterwards
                 stream.write(json.dumps({"cmd": "status"}).encode() + b"\n")
                 stream.flush()

@@ -675,9 +675,12 @@ def _item(item):
     return item
 
 
+RUN_OF_FOUR = tuple(BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(4))
+
+
 class TestWriteRunMemo:
-    """Each end of a connection keeps the last block-write run it packed
-    or read; reusing it changes no byte, message or error."""
+    """Each end of a connection keeps the last spec of block writes alone
+    it packed or read; reusing it changes no byte, message or error."""
 
     @settings(max_examples=300, deadline=None)
     @given(write_run_frames())
@@ -730,17 +733,31 @@ class TestWriteRunMemo:
         assert encode(spec, memo) == encode(spec)
 
     def test_a_stream_reads_a_repeated_run_into_the_same_ops(self):
-        run = tuple(BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(4))
+        run = RUN_OF_FOUR
         stream = FrameStream()
+        mixed = encode(_spec(GotoBiosOp(), *run, spec_id=3))
         first, second, other = stream.feed(
-            encode(_spec(*run, spec_id=1))
-            + encode(_spec(*run, spec_id=2))
-            + encode(_spec(GotoBiosOp(), *run, spec_id=3))
+            encode(_spec(*run, spec_id=1)) + encode(_spec(*run, spec_id=2)) + mixed
         )
         assert first.ops == run and second.ops is first.ops
-        assert other.ops[1:] == run and all(
-            a is b for a, b in zip(other.ops[1:], first.ops)
-        )
+        assert other == decode(mixed)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            # the memo's bytes, then one write more
+            RUN_OF_FOUR + (BlockWriteOp(0x4408, (4,)),),
+            # as many ops, one word changed
+            RUN_OF_FOUR[:3] + (BlockWriteOp(0x4406, (9,)),),
+        ],
+        ids=["one-more-op", "one-word-changed"],
+    )
+    def test_a_spec_that_misses_either_key_is_read_afresh(self, ops):
+        stream = FrameStream()
+        frame = encode(_spec(*ops, spec_id=2))
+        first, second = stream.feed(encode(_spec(*RUN_OF_FOUR, spec_id=1)) + frame)
+        assert first.ops == RUN_OF_FOUR
+        assert second == decode(frame) and second.ops == ops
 
     def test_block_write_op_is_frozen(self):
         op = BlockWriteOp(0x4400, (1, 2))
