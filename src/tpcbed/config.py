@@ -10,6 +10,7 @@ every downstream number.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,6 +61,9 @@ class ControllerSettings:
     def validate(self) -> None:
         if self.lease_timeout_s <= 0:
             raise ConfigError("lease_timeout_s must be > 0")
+        for name in ("control_port", "reader_port"):
+            if not 0 <= getattr(self, name) <= 0xFFFF:
+                raise ConfigError(f"{name} must be in 0..65535")
         try:
             self.epoch_datetime()
         except ValueError as exc:
@@ -97,13 +101,18 @@ class TestbedConfig:
     tag_profiles: Mapping[int, TagProfile] = field(default_factory=dict)
 
     def validate(self) -> None:
-        self.geometry.validate()
-        self.link.validate()
-        self.energy.validate()
-        self.inventory.validate()
-        self.transfer.validate()
-        self.transfer.bios_retries(self.inventory.slot_duration_ms)
-        self.controller.validate()
+        try:
+            self.geometry.validate()
+            self.link.validate()
+            self.energy.validate()
+            self.inventory.validate()
+            self.transfer.validate()
+            self.transfer.bios_retries(self.inventory.slot_duration_ms)
+            self.controller.validate()
+        except ConfigError:
+            raise
+        except ValueError as exc:  # a section's own range check
+            raise ConfigError(str(exc)) from exc
         for tag_id, profile in self.tag_profiles.items():
             if tag_id not in self.geometry.tag_ids():
                 raise ConfigError(f"tag profile for unknown tag {tag_id}")
@@ -124,13 +133,17 @@ def _coerce(value: Any, default: Any, path: str) -> Any:
 
     A YAML `30` lands as 30.0 where a float lives; `true` is no number and
     a quoted `"6"` no number either, so both are caught here instead of
-    skewing arithmetic much later.  A default of None takes any value.
+    skewing arithmetic much later.  So are `.nan`, `.inf` and integers
+    past the float range where a float lives, which no range check would
+    refuse.  A default of None takes any value.
     """
     kind = type(default)
     if kind in (int, float):
         ok = type(value) is int or (
             type(value) is float and (kind is float or value.is_integer())
         )
+        if ok and kind is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"bad {path}: expected a finite float, got {value!r}")
     elif kind in (bool, str):
         ok = type(value) is kind
     else:
@@ -264,6 +277,8 @@ def load_config(path: str | Path | None = None) -> TestbedConfig:
         raw = yaml.safe_load(text)
     except RecursionError:
         raise ConfigError(f"{path}: YAML nested too deep") from None
+    except ValueError as exc:  # a scalar PyYAML cannot build, as 2016-02-30
+        raise ConfigError(f"{path}: bad YAML value: {exc}") from None
     except yaml.YAMLError as exc:
         # one line: the parser's own text spans several
         mark = getattr(exc, "problem_mark", None)

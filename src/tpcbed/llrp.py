@@ -392,25 +392,34 @@ def _pack_payload(msg: Message, out: list[bytes], memo: WriteRunMemo | None) -> 
             _pack_epc(entry.epc)  # "12s" would pad or cut a wrong length
             out.append(_TAG_REPORT.pack(*astuple(entry)))
         out.append(_U16.pack(len(msg.access_results)))
-        # Every result of one access call names the same target, so an
-        # EPC is checked and packed only when it differs from the last.
+        # Each distinct result object is packed once, keyed by identity:
+        # the report holds every result until the frame is built.  Every
+        # result of one access call names the same target, so an EPC is
+        # checked and packed only when it differs from the last.
+        packed: dict[int, bytes] = {}
         target = epc = None
         for result in msg.access_results:
-            code = _OP_CODES.get(result.kind)
-            if code is None:
-                raise EncodeError(f"unknown access op kind {result.kind!r}")
-            if epc is None or result.target_epc != target:
-                target = result.target_epc
-                epc = _pack_epc(target)
-            success = 1 if result.success else 0
-            attempts = result.attempts
-            data = result.data
-            if not data and not result.detail:
-                out.append(_BARE_RESULT.pack(code, epc, success, attempts, 0, 0))
-                continue
-            out.append(_RESULT_HEAD.pack(code, epc, success, attempts, len(data)))
-            out.append(_words(len(data)).pack(*data))
-            out.append(_pack_str(result.detail or ""))  # None travels as ""
+            raw = packed.get(id(result))
+            if raw is None:
+                code = _OP_CODES.get(result.kind)
+                if code is None:
+                    raise EncodeError(f"unknown access op kind {result.kind!r}")
+                if epc is None or result.target_epc != target:
+                    target = result.target_epc
+                    epc = _pack_epc(target)
+                success = 1 if result.success else 0
+                attempts = result.attempts
+                data = result.data
+                if not data and not result.detail:
+                    raw = _BARE_RESULT.pack(code, epc, success, attempts, 0, 0)
+                else:
+                    raw = (
+                        _RESULT_HEAD.pack(code, epc, success, attempts, len(data))
+                        + _words(len(data)).pack(*data)
+                        + _pack_str(result.detail or "")  # None travels as ""
+                    )
+                packed[id(result)] = raw
+            out.append(raw)
     elif isinstance(msg, ErrorMessage):
         out.append(_U16.pack(msg.code))
         out.append(_pack_str(msg.text))
@@ -553,11 +562,14 @@ def _parse_results(
 
     A bare result, with neither words nor detail, is read with every bare
     result that follows it, up to the first result of another shape, in
-    one ``iter_unpack``.
+    one ``iter_unpack``.  Equal bare results of the call share one
+    AccessResult; the table of them lives only as long as the call, so
+    nothing in it outgrows one frame.
     """
     results: list[AccessResult] = []
     append = results.append
     names = OP_KIND_NAMES
+    made: dict[tuple, AccessResult] = {}  # by bare row
     while len(results) < count:
         # Read as a bare result first: one with words has its first word
         # where a bare one has its detail length.
@@ -578,12 +590,14 @@ def _parse_results(
             for offset, allowed in columns:
                 column = data[pos + offset : end : bare]
                 end = min(end, pos + bare * (len(column) - len(column.lstrip(allowed))))
-            results += [
-                AccessResult(names[code], epc, success != 0, attempts, None, ())
-                for code, epc, success, attempts, _, _ in _BARE_RESULT.iter_unpack(
-                    data[pos:end]
-                )
-            ]
+            for row in _BARE_RESULT.iter_unpack(data[pos:end]):
+                result = made.get(row)
+                if result is None:
+                    code, epc, success, attempts, _, _ = row
+                    result = made[row] = AccessResult(
+                        names[code], epc, success != 0, attempts, None, ()
+                    )
+                append(result)
             pos = end
             continue
         pos += _RESULT_HEAD.size

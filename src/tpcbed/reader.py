@@ -334,6 +334,8 @@ class Reader:
         slot_ms = self.slot_duration_ms
         sink = self._sink
         results: list[AccessResult] = []
+        # One result per distinct outcome; each names this call's target.
+        made: dict[tuple, AccessResult] = {}
         # Neither the target nor its links change during a call, so look
         # them up once.  Command and reply must both survive the link:
         # an attempt succeeds with probability p², None where there is
@@ -452,9 +454,13 @@ class Reader:
             clock.now_ms = now
             if state != held:
                 held = hold(state)
-            results.append(
-                AccessResult(kind, target_epc, success, attempts, detail, data)
-            )
+            outcome = (kind, success, attempts, detail, data)
+            result = made.get(outcome)
+            if result is None:
+                result = made[outcome] = AccessResult(
+                    kind, target_epc, success, attempts, detail, data
+                )
+            results.append(result)
             if sink is not None:
                 sink(
                     access_line(

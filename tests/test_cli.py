@@ -152,6 +152,64 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
             {"app.txt": b"@4400\n01 02\n\xff\xfe\x00"},
             "error: line 3: FW: not UTF-8 text: invalid start byte",
         ),
+        (
+            REPROGRAM + ["--config", "CFG"],
+            {"app.txt": FIRMWARE, "cfg.yaml": "transfer: {antenna_tie_db: -1.0}\n"},
+            "error: antenna_tie_db must be >= 0",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "inventory: {slot_duration_ms: -1.0}\n"},
+            "error: slot_duration_ms must be > 0",
+        ),
+        (
+            REPROGRAM + ["--config", "CFG"],
+            {"app.txt": FIRMWARE, "cfg.yaml": "transfer: {abort_timeout_ms: 1.0e+9}\n"},
+            "error: abort_timeout_ms 1e+09 gives more than 65536 go-to-bios "
+            "attempts of 75 ms",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "inventory: {q_fp_step: .nan}\n"},
+            "error: bad inventory.q_fp_step: expected a finite float, got nan",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "inventory: {slot_duration_ms: .inf}\n"},
+            "error: bad inventory.slot_duration_ms: expected a finite float, got inf",
+        ),
+        (
+            REPROGRAM + ["--config", "CFG"],
+            {"app.txt": FIRMWARE, "cfg.yaml": "link: {tx_power_dbm: .nan}\n"},
+            "error: bad link.tx_power_dbm: expected a finite float, got nan",
+        ),
+        (
+            REPROGRAM + ["--config", "CFG"],
+            {"app.txt": FIRMWARE, "cfg.yaml": "energy: {capacity_uj: -.inf}\n"},
+            "error: bad energy.capacity_uj: expected a finite float, got -inf",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": f"link: {{tx_power_dbm: {10**309}}}\n"},
+            f"error: bad link.tx_power_dbm: expected a finite float, got {10**309}",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "controller: {reader_port: 65536}\n"},
+            "error: reader_port must be in 0..65535",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "controller: {epoch_utc: 2016-02-30}\n"},
+            "error: CFG: bad YAML value: day is out of range for month",
+        ),
+        (
+            INVENTORY + ["--config", "CFG"],
+            {"cfg.yaml": "link: {tx_power_dbm: " + "9" * 5000 + "}\n"},
+            "error: CFG: bad YAML value: Exceeds the limit (4300 digits) for "
+            "integer string conversion: value has 5000 digits; use "
+            "sys.set_int_max_str_digits() to increase the limit",
+        ),
     ],
     ids=[
         "config-value-type",
@@ -167,6 +225,17 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
         "config-not-utf8",
         "firmware-not-utf8",
         "firmware-not-utf8-remote",
+        "config-transfer-range",
+        "config-inventory-range",
+        "config-abort-timeout-range",
+        "config-nan",
+        "config-inf",
+        "config-nan-link",
+        "config-minus-inf-energy",
+        "config-float-overflow",
+        "config-port-range",
+        "config-bad-date",
+        "config-too-many-digits",
     ],
 )
 def test_refused_inputs_exit_2_with_one_line(tmp_path, capsys, args, files, error):

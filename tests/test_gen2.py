@@ -5,12 +5,15 @@ distribution comparison against brute-force enumeration lives in the
 acceptance suite.
 """
 
+import dataclasses
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tpcbed.gen2 import (
+    AccessResult,
     Q_MAX,
     Q_MIN,
     InventoryConfig,
@@ -65,6 +68,15 @@ class TestQArithmetic:
             q_fp = adjust_q(q_fp, kind)
             assert 0.0 <= q_fp <= 15.0
             assert 0 <= rounded_q(q_fp) <= 15
+
+
+class TestAccessResult:
+    def test_is_frozen(self):
+        # Calls and decoded reports share one instance among equal results.
+        result = AccessResult("read", bytes(12), True, 1, None, (1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.attempts = 2
+        assert hash(result) == hash(AccessResult("read", bytes(12), True, 1, None, (1, 2)))
 
 
 class TestConfig:
@@ -243,3 +255,23 @@ class TestRoundMatchesPerSlotReference:
         assert [i for i, _ in result.collisions] == [
             o.slot_index for o in outcomes if o.kind is SlotKind.COLLISION
         ]
+
+    @pytest.mark.parametrize(
+        "q_fp, step, probabilities",
+        [
+            (-0.0, 0.0, []),
+            (-0.0, 0.5, [1.0]),
+            (0.0, math.nan, []),
+            (3.0, math.nan, [1.0, 1.0, 0.0]),
+            (15.0, math.inf, [1.0, 1.0]),
+        ],
+    )
+    def test_q_clamp_edges_as_the_reference(self, q_fp, step, probabilities):
+        # The reference clamps with min/max; NaN and -0.0 must come out alike.
+        config = InventoryConfig(q_fp_step=step)
+        tags = make_tags(probabilities)
+        result = run_inventory_round(tags, config, random.Random(5), q_fp=q_fp)
+        _, q_fp_after, _ = inventory_round_oracle(
+            tags, config, random.Random(5), q_fp
+        )
+        assert repr(result.q_fp_after) == repr(q_fp_after)

@@ -867,3 +867,58 @@ class TestEncodeFrames:
         reports = FrameStream().feed(b"".join(frames))
         assert all(r.msg_id == 5 and not r.tag_reports for r in reports)
         assert sum((r.access_results for r in reports), ()) == entries
+
+
+def _copies(results):
+    """Distinct instances equal to ``results``, one per entry."""
+    return tuple(replace(result) for result in results)
+
+
+class TestSharedResults:
+    """Equal results of one report may be one object on either end; no
+    byte on the wire changes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(result_runs_strategy())
+    def test_equal_bare_rows_of_one_frame_decode_to_one_object(self, results):
+        frame = encode(ROAccessReport(1, (), tuple(results)))
+        decoded = decode(frame).access_results
+        with mock.patch.object(llrp, "_parse_results", parse_results_oracle):
+            assert decoded == decode(frame).access_results
+        first = {}
+        for result in decoded:
+            if not result.data and not result.detail:
+                assert first.setdefault(result, result) is result
+
+    def test_rows_split_by_another_shape_share_and_frames_do_not(self):
+        bare = AccessResult("block-write", EPC, True, 2)
+        read = AccessResult("read", EPC, True, 1, None, (7,))
+        report = ROAccessReport(1, (), (bare, bare, read, bare))
+        one, two = FrameStream().feed(encode(report) * 2)
+        assert one == two == report
+        a, b, _, c = one.access_results
+        assert a is b is c
+        assert two.access_results[0] is not a  # the table is per decode
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(access_result_strategy(), min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), max_size=12),
+    )
+    def test_a_repeated_instance_encodes_as_equal_distinct_ones(self, pool, picks):
+        shared = tuple(pool[i % len(pool)] for i in picks)
+        frame = encode(ROAccessReport(1, (), shared))
+        assert frame == encode(ROAccessReport(1, (), _copies(shared)))
+        assert decode(frame).access_results == shared
+
+    def test_a_split_report_of_repeated_instances_encodes_as_distinct_ones(self):
+        pool = [
+            AccessResult("read", EPC, True, i, "é" * i or None, tuple(range(0x7000)))
+            for i in range(3)
+        ]
+        shared = tuple(pool[i % 3] for i in range(24))
+        frames = encode_frames(ROAccessReport(5, access_results=shared))
+        assert len(frames) > 1
+        assert frames == encode_frames(ROAccessReport(5, access_results=_copies(shared)))
+        reports = FrameStream().feed(b"".join(frames))
+        assert sum((r.access_results for r in reports), ()) == shared

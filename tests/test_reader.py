@@ -227,6 +227,23 @@ class TestExecuteAccess:
         )
         assert len(results) == 1  # the goto-bios op never went out
 
+    def test_equal_outcomes_of_one_call_are_one_object(self):
+        reader = make_reader()
+        charge_all(reader.world)
+        reader.world.tag(1).mode = TagMode.BIOS
+        writes = [BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(40)]
+        ops = writes + [ReadOp(0x4400, 2)] * 6
+        results = reader.execute_access(ops, default_epc(1), (2,), 40)
+        assert len(results) == len(ops) and all(r.success for r in results)
+        first = {}
+        for result in results:
+            assert first.setdefault(result, result) is result
+        assert len(first) < len(results)
+        # The table is the call's own: a second call shares nothing.
+        again = reader.execute_access(ops, default_epc(1), (2,), 40)
+        assert set(again) & set(results)
+        assert not {id(r) for r in again} & {id(r) for r in results}
+
     def test_every_op_type_has_one_kind_and_a_handler(self):
         op_types = typing.get_args(AccessOp)
         kinds = [op_type.kind for op_type in op_types]

@@ -1,5 +1,7 @@
 """Tag model tests: memory protocol, checksums, energy, brownout."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -298,6 +300,31 @@ class TestEnergy:
         tag.energy_uj = 0.01
         tag.harvest_step(-50.0, 100.0)
         assert tag.read_bytes(0x4400, 2) == b"\xef\xbe"  # flash is non-volatile
+
+    @pytest.mark.parametrize(
+        "energy_uj, incident_dbm, dt_ms",
+        [
+            (50.0, 5.0, math.nan),
+            (50.0, -30.0, math.nan),
+            (math.nan, 5.0, 1.0),
+            (math.nan, -30.0, 1.0),
+            (-0.0, -30.0, 0.0),
+            (-0.0, 5.0, 0.0),
+            (100.0, 5.0, 0.0),
+            (1.0, -30.0, 1e9),
+        ],
+    )
+    def test_energy_clamps_as_min_and_max(self, energy_uj, incident_dbm, dt_ms):
+        tag = make_tag()
+        tag.energy_uj = energy_uj
+        params = tag.energy_params
+        if incident_dbm >= params.harvest_threshold_dbm:
+            gained = params.harvest_efficiency * 10.0 ** (incident_dbm / 10.0) * dt_ms
+            expected = min(params.capacity_uj, energy_uj + gained)
+        else:
+            expected = max(0.0, energy_uj - params.idle_draw_mw * dt_ms)
+        tag.harvest_step(incident_dbm, dt_ms)
+        assert repr(tag.energy_uj) == repr(expected)  # NaN and -0.0 alike
 
     def test_unpowered_tag_is_unresponsive(self):
         tag = make_tag()
