@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_port, load_config
 from .controller import (
     ControlClient,
     ControlServer,
@@ -307,6 +307,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --out is a directory: {out}", file=sys.stderr)
         return 2
     try:
+        if getattr(args, "port", None) is not None:
+            check_port("--port", args.port)
+        if getattr(args, "connect", None) is not None:
+            check_port("--connect port", args.connect[1])
         return handlers[args.command](args)
     except (ConfigError, TiTxtError, GeometryError, OSError) as exc:
         # A file the loaders refuse or cannot read, or an antenna or tag id

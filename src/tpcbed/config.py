@@ -39,6 +39,12 @@ class ConfigError(ValueError):
 DEFAULT_EPOCH = "2016-04-02T00:00:00Z"
 
 
+def check_port(name: str, port: int) -> None:
+    """Refuse a TCP port outside 0..65535, whichever door it comes in by."""
+    if not 0 <= port <= 0xFFFF:
+        raise ConfigError(f"{name} must be in 0..65535")
+
+
 @dataclass(frozen=True)
 class ControllerSettings:
     """Settings for the multi-user front door and the reader endpoint."""
@@ -62,8 +68,7 @@ class ControllerSettings:
         if self.lease_timeout_s <= 0:
             raise ConfigError("lease_timeout_s must be > 0")
         for name in ("control_port", "reader_port"):
-            if not 0 <= getattr(self, name) <= 0xFFFF:
-                raise ConfigError(f"{name} must be in 0..65535")
+            check_port(name, getattr(self, name))
         try:
             self.epoch_datetime()
         except ValueError as exc:

@@ -154,10 +154,11 @@ class ExperimentLog:
     """Append-only JSON-lines event log.
 
     Every event is one line, keys sorted, so identical event sequences
-    serialize to identical bytes.  Each line's UTF-8 bytes are handed to
-    the OS in one unbuffered write (more only if the OS takes part) before
-    ``write`` returns.  A write failure raises immediately: an experiment
-    whose record cannot be kept must abort, not limp on.
+    serialize to identical bytes.  The UTF-8 bytes of each ``write`` call,
+    one line or a reader call's lines, are handed to the OS in one
+    unbuffered write (more only if the OS takes part) before it returns.
+    A write failure raises immediately: an experiment whose record cannot
+    be kept must abort, not limp on.
     """
 
     def __init__(self, path: str | Path):
@@ -167,9 +168,13 @@ class ExperimentLog:
         except OSError as exc:
             raise LogWriteError(f"cannot open log {self.path}: {exc}") from exc
 
-    def write(self, event: str | dict) -> None:
-        """Append one event: a line a Reader rendered, or a dict to encode."""
+    def write(self, event: str | list[str] | dict) -> None:
+        """Append a line a Reader rendered, a list of them, or a dict."""
         try:
+            if isinstance(event, list):
+                if not event:
+                    return
+                event = "\n".join(event)
             line = event if isinstance(event, str) else SORTED_JSON.encode(event)
             data = (line + "\n").encode()
             written = self._handle.write(data)

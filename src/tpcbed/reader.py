@@ -76,6 +76,9 @@ MAX_STORED_SPECS = 16
 #: json.dumps(..., sort_keys=True) builds a fresh one per call.
 SORTED_JSON = json.JSONEncoder(sort_keys=True)
 
+#: Most lines a Reader hands its event sink at once (a long survey's chunk).
+SINK_LINES = 1024
+
 
 #: Longest inventory survey, in virtual seconds per antenna: a day.  A
 #: survey costs wall time in proportion, and a request holds its server
@@ -168,9 +171,10 @@ def access_line(
 class Reader:
     """Drives inventory rounds and access deliveries against one World.
 
-    ``event_sink`` receives each ``round`` and ``access`` event as one
-    rendered JSON line (a str without the newline), the form
-    ``ExperimentLog.write`` takes.
+    ``event_sink`` receives the ``round`` and ``access`` events of each
+    call as lists of rendered JSON lines (strs without the newline), the
+    form ``ExperimentLog.write`` takes: never empty, at most SINK_LINES
+    long, and delivered even by a call that raises partway.
     """
 
     def __init__(self, world: World, event_sink=None):
@@ -237,54 +241,61 @@ class Reader:
         # harvesting nor a new list (see World.harvest_all).
         quiet: dict[int, list[ReachableTag]] = {}
         turn = 0
-        while now - started_ms < duration_ms:
-            antenna_turn = turn % len(antenna_ids)
-            antenna_id = antenna_ids[antenna_turn]
-            turn += 1
-            q = q_fp[antenna_id]
-            # The antenna's carrier powers every tag it can see for the
-            # whole round, so charge before asking anyone to reply.
-            reachable = quiet.get(antenna_id)
-            if reachable is None:
-                if world.harvest_all(antenna_id, (1 << rounded_q(q)) * slot_ms):
-                    quiet.clear()
-                    reachable = world.reachable(antenna_id)
-                else:
-                    reachable = quiet[antenna_id] = world.reachable(antenna_id)
-            result = run_inventory_round(reachable, config, world.rng, q, now)
-            slots = result.slots
-            singulations = result.singulations
-            q_fp[antenna_id] = result.q_fp_after
+        lines: list[str] = []
+        try:
+            while now - started_ms < duration_ms:
+                antenna_turn = turn % len(antenna_ids)
+                antenna_id = antenna_ids[antenna_turn]
+                turn += 1
+                q = q_fp[antenna_id]
+                # The antenna's carrier powers every tag it can see for the
+                # whole round, so charge before asking anyone to reply.
+                reachable = quiet.get(antenna_id)
+                if reachable is None:
+                    if world.harvest_all(antenna_id, (1 << rounded_q(q)) * slot_ms):
+                        quiet.clear()
+                        reachable = world.reachable(antenna_id)
+                    else:
+                        reachable = quiet[antenna_id] = world.reachable(antenna_id)
+                result = run_inventory_round(reachable, config, world.rng, q, now)
+                slots = result.slots
+                singulations = result.singulations
+                q_fp[antenna_id] = result.q_fp_after
 
-            for slot_index, seen in singulations:
-                seen_ms = now + slot_index * slot_ms
-                key = (antenna_id, seen.epc)
-                entry = acc.get(key)
-                if entry is None:
-                    entry = acc[key] = _Accumulator(
-                        tag_id=seen.tag_id, first_seen_ms=seen_ms
+                for slot_index, seen in singulations:
+                    seen_ms = now + slot_index * slot_ms
+                    key = (antenna_id, seen.epc)
+                    entry = acc.get(key)
+                    if entry is None:
+                        entry = acc[key] = _Accumulator(
+                            tag_id=seen.tag_id, first_seen_ms=seen_ms
+                        )
+                    entry.read_count += 1
+                    entry.rssi_total += seen.rssi_dbm
+                    entry.last_rssi = seen.rssi_dbm
+                    entry.last_seen_ms = seen_ms
+
+                now += slots * slot_ms
+                if sink is not None:
+                    clock.now_ms = now
+                    lines.append(
+                        round_line(
+                            clock.iso(),
+                            antenna_texts[antenna_turn],
+                            slots,
+                            len(singulations),
+                            len(result.collisions),
+                        )
                     )
-                entry.read_count += 1
-                entry.rssi_total += seen.rssi_dbm
-                entry.last_rssi = seen.rssi_dbm
-                entry.last_seen_ms = seen_ms
-
-            now += slots * slot_ms
-            if sink is not None:
-                clock.now_ms = now
-                sink(
-                    round_line(
-                        clock.iso(),
-                        antenna_texts[antenna_turn],
-                        slots,
-                        len(singulations),
-                        len(result.collisions),
-                    )
-                )
-            if periodic and now - last_report_ms >= report_interval_ms:
-                flush()
-                last_report_ms = now
-
+                    if len(lines) == SINK_LINES:
+                        full, lines = lines, []
+                        sink(full)
+                if periodic and now - last_report_ms >= report_interval_ms:
+                    flush()
+                    last_report_ms = now
+        finally:
+            if lines:
+                sink(lines)
         clock.now_ms = now
         if report_trigger == "end" or acc:
             flush()
@@ -334,8 +345,9 @@ class Reader:
         slot_ms = self.slot_duration_ms
         sink = self._sink
         results: list[AccessResult] = []
-        # One result per distinct outcome; each names this call's target.
-        made: dict[tuple, AccessResult] = {}
+        # One result per distinct outcome, each naming this call's target,
+        # with the outcome's access line split around its stamp.
+        made: dict[tuple, tuple[AccessResult, str, str]] = {}
         # Neither the target nor its links change during a call, so look
         # them up once.  Command and reply must both survive the link:
         # an attempt succeeds with probability p², None where there is
@@ -346,9 +358,8 @@ class Reader:
             quality = world.links.get((antenna_id, tag_id))
             p = None if quality is None else quality.delivery_probability
             success_p.append(None if p is None else p * p)
-        if sink is not None:
-            target_hex = target_epc.hex()
-            antennas_json = SORTED_JSON.encode(list(antennas))
+        target_hex = target_epc.hex()
+        antennas_json = SORTED_JSON.encode(list(antennas))
         # A harvest on the same turn from the same energies ends in the
         # same energies (see World.harvest_all), and a delivered command
         # changes no energy.  So each energy state the call reaches gets an
@@ -407,74 +418,75 @@ class Reader:
         turns = len(antennas)
 
         op_type = None
-        for op in ops:
-            # Resolved once per run of ops of one type.
-            if type(op) is not op_type:
-                op_type = type(op)
-                handler = OP_HANDLERS.get(op_type)
-                if handler is None:
-                    raise TypeError(f"not an access op: {op_type.__name__}")
-                kind = op.kind
-                writes = op_type is BlockWriteOp
-                moves_mode = op_type is GotoBiosOp or op_type is CommitOp
-            success = False
-            detail = None
-            data: tuple[int, ...] = ()
-            for attempt in range(max_retries + 1):  # at least one
-                turn = attempt % turns
-                step = replays[turn].get(state)
-                if step is None:
-                    step = harvest(turn, state, held)
-                    held = step[0]
-                    mode_ok = listening()  # a brownout resets the mode
-                state, p2 = step
-                now += slot_ms
+        lines: list[str] = []
+        try:
+            for op in ops:
+                # Resolved once per run of ops of one type.
+                if type(op) is not op_type:
+                    op_type = type(op)
+                    handler = OP_HANDLERS.get(op_type)
+                    if handler is None:
+                        raise TypeError(f"not an access op: {op_type.__name__}")
+                    kind = op.kind
+                    writes = op_type is BlockWriteOp
+                    moves_mode = op_type is GotoBiosOp or op_type is CommitOp
+                success = False
+                detail = None
+                data: tuple[int, ...] = ()
+                for attempt in range(max_retries + 1):  # at least one
+                    turn = attempt % turns
+                    step = replays[turn].get(state)
+                    if step is None:
+                        step = harvest(turn, state, held)
+                        held = step[0]
+                        mode_ok = listening()  # a brownout resets the mode
+                    state, p2 = step
+                    now += slot_ms
 
-                if p2 is None or not mode_ok:
-                    continue
-                if random() >= p2:
-                    continue
+                    if p2 is None or not mode_ok:
+                        continue
+                    if random() >= p2:
+                        continue
+                    clock.now_ms = now
+                    if state != held:
+                        held = hold(state)
+                    if writes:
+                        ack = write_words(op.start_address, op.words)
+                    else:
+                        ack = handler(op, tag)
+                        if moves_mode:
+                            mode_ok = listening()
+                    if ack is None:
+                        continue
+                    success = ack.ok
+                    detail = ack.reason
+                    data = ack.data
+                    break
+
+                attempts = attempt + 1
                 clock.now_ms = now
                 if state != held:
                     held = hold(state)
-                if writes:
-                    ack = write_words(op.start_address, op.words)
-                else:
-                    ack = handler(op, tag)
-                    if moves_mode:
-                        mode_ok = listening()
-                if ack is None:
-                    continue
-                success = ack.ok
-                detail = ack.reason
-                data = ack.data
-                break
-
-            attempts = attempt + 1
-            clock.now_ms = now
-            if state != held:
-                held = hold(state)
-            outcome = (kind, success, attempts, detail, data)
-            result = made.get(outcome)
-            if result is None:
-                result = made[outcome] = AccessResult(
-                    kind, target_epc, success, attempts, detail, data
-                )
-            results.append(result)
-            if sink is not None:
-                sink(
-                    access_line(
-                        clock.iso(),
-                        kind,
-                        target_hex,
-                        antennas_json,
-                        attempts,
-                        success,
-                        detail,
+                outcome = (kind, success, attempts, detail, data)
+                found = made.get(outcome)
+                if found is None:
+                    # "\0" marks the stamp (JSON escapes a NUL in the detail).
+                    line = "\0" if sink is None else access_line(
+                        "\0", kind, target_hex, antennas_json, attempts, success, detail
                     )
-                )
-            if not success:
-                break
+                    found = made[outcome] = (
+                        AccessResult(kind, target_epc, success, attempts, detail, data),
+                        *line.split("\0"),
+                    )
+                result, line_head, line_tail = found
+                results.append(result)
+                if sink is not None:
+                    lines.append(line_head + clock.iso() + line_tail)
+                if not success:
+                    break
+        finally:
+            if lines:
+                sink(lines)
         return results
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .llrp import BlockWriteOp, ChecksumOp, CommitOp, GotoBiosOp
@@ -408,12 +409,10 @@ def reprogram(
 
     def tally(results) -> bool:
         nonlocal sent, retried
-        ok = True
-        for result in results:
-            sent += result.attempts
-            retried += result.attempts - 1
-            ok = ok and result.success
-        return ok
+        attempts = sum(map(attrgetter("attempts"), results))
+        sent += attempts
+        retried += attempts - len(results)
+        return all(map(attrgetter("success"), results))
 
     def failure_outcome(results) -> str:
         # An active region nack mid-write means the pre-flight map and

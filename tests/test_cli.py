@@ -210,6 +210,13 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
             "integer string conversion: value has 5000 digits; use "
             "sys.set_int_max_str_digits() to increase the limit",
         ),
+        (["serve", "--port", "65536"], {}, "error: --port must be in 0..65535"),
+        (["reader-serve", "--port", "-1"], {}, "error: --port must be in 0..65535"),
+        (
+            INVENTORY + ["--connect", "127.0.0.1:70000"],
+            {},
+            "error: --connect port must be in 0..65535",
+        ),
     ],
     ids=[
         "config-value-type",
@@ -236,6 +243,9 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
         "config-port-range",
         "config-bad-date",
         "config-too-many-digits",
+        "serve-port-range",
+        "reader-serve-port-range",
+        "connect-port-range",
     ],
 )
 def test_refused_inputs_exit_2_with_one_line(tmp_path, capsys, args, files, error):
@@ -244,8 +254,10 @@ def test_refused_inputs_exit_2_with_one_line(tmp_path, capsys, args, files, erro
         (tmp_path / name).write_bytes(raw)
     names = {"CFG": str(tmp_path / "cfg.yaml"), "FW": str(tmp_path / "app.txt")}
     out, log = tmp_path / "out.csv", tmp_path / "run.jsonl"
-    log_args = [] if "--connect" in args else ["--log", str(log)]
-    rc = main([names.get(a, a) for a in args] + ["--out", str(out)] + log_args)
+    run_args = [] if args[0].endswith("serve") else ["--out", str(out)]
+    if run_args and "--connect" not in args:
+        run_args += ["--log", str(log)]
+    rc = main([names.get(a, a) for a in args] + run_args)
     assert rc == 2
     captured = capsys.readouterr()
     for placeholder, path in names.items():

@@ -146,6 +146,24 @@ class TestExperimentLog:
             log.write({"event": "x"})
         assert path.read_text() == '{"event": "round", "slots": 16}\n{"event": "x"}\n'
 
+    def test_a_list_of_lines_is_written_as_the_lines_one_by_one(self, tmp_path):
+        lines = ['{"event": "round", "slots": 16}', '{"detail": "Ω"}', "{}"]
+        with ExperimentLog(tmp_path / "one.jsonl") as log:
+            for line in lines:
+                log.write(line)
+        with ExperimentLog(tmp_path / "list.jsonl") as log:
+            log.write([])
+            log.write(lines)
+            log.write([])
+        assert (tmp_path / "list.jsonl").read_bytes() == (
+            tmp_path / "one.jsonl"
+        ).read_bytes()
+
+    def test_an_empty_list_writes_nothing(self, tmp_path):
+        with ExperimentLog(tmp_path / "run.jsonl") as log:
+            log._handle.close()  # a write to the OS would raise
+            log.write([])
+
     def test_unwritable_path_raises(self, tmp_path):
         with pytest.raises(LogWriteError):
             ExperimentLog(tmp_path)  # a directory, not a file
@@ -327,6 +345,26 @@ class TestReprogramExperiment:
                     (1, 99), parse_ti_txt(SMALL_FIRMWARE), log=log
                 )
         assert path.read_bytes() == b""  # tag 1's transfer never ran
+
+    def test_a_write_failure_mid_reprogram_aborts_the_run(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        log = ExperimentLog(path)
+        write = log.write
+        written = []
+
+        def write_then_close(event):
+            write(event)
+            written.append(event)
+            if len(written) == 2:  # the opening event, then one reader call
+                log._handle.close()
+
+        log.write = write_then_close
+        with pytest.raises(LogWriteError):
+            Controller(default_config()).run_reprogram_experiment(
+                (1, 2), parse_ti_txt(SMALL_FIRMWARE), seed=0, log=log
+            )
+        kinds = [json.loads(line)["event"] for line in path.read_text().splitlines()]
+        assert kinds[0] == "experiment" and set(kinds[1:]) == {"access"}
 
     def test_bootloader_image_refused_without_rf(self, tmp_path):
         controller = Controller(default_config())

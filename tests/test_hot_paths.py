@@ -3,7 +3,7 @@
 
 On CPython 3.11 one ``min(max(x, lo), hi)`` costs about ten times the
 same clamp written as comparisons, and these functions run once per
-slot, per harvest or per delivered write.  Checked with the standard
+slot, per harvest, per delivered write, per round or per reader call.  Checked with the standard
 library's ``dis``, nested functions included.
 """
 
@@ -11,6 +11,7 @@ import dis
 
 import pytest
 
+from tpcbed.controller import ExperimentLog
 from tpcbed.gen2 import _after_empty_slots, run_inventory_round
 from tpcbed.reader import Reader
 from tpcbed.tag import CrfidTag
@@ -21,6 +22,8 @@ HOT_PATHS = [
     CrfidTag.on_write_words,
     CrfidTag.harvest_step,
     Reader.execute_access,
+    Reader.run_inventory,
+    ExperimentLog.write,
 ]
 
 

@@ -53,6 +53,7 @@ from tpcbed.reader import (
     ReaderError,
     ReaderServer,
     RemoteReaderSession,
+    SINK_LINES,
     access_line,
     observation_to_entry,
     round_line,
@@ -86,7 +87,7 @@ def charge_all(world):
 class TestInventory:
     def test_zero_duration_runs_no_rounds(self):
         events = []
-        reader = make_reader(event_sink=events.append)
+        reader = make_reader(event_sink=events.extend)
         batches = reader.run_inventory((2,), 0.0)
         assert batches == [[]]
         assert events == []
@@ -152,15 +153,28 @@ class TestInventory:
 
     def test_antennas_alternate_round_by_round(self):
         events = []
-        reader = make_reader(event_sink=lambda line: events.append(json.loads(line)))
+        reader = make_reader(
+            event_sink=lambda lines: events.extend(map(json.loads, lines))
+        )
         reader.run_inventory((2, 3), 5_000.0)
         rounds = [e for e in events if e["event"] == "round"]
         assert len(rounds) >= 2
         assert [e["antenna"] for e in rounds[:4]] == [2, 3, 2, 3][: len(rounds[:4])]
 
+    def test_a_long_survey_hands_the_sink_at_most_the_cap_per_call(self):
+        calls = []
+        reader = make_reader(event_sink=calls.append)
+        reader.run_inventory((1,), 3_600_000.0)
+        sizes = [len(lines) for lines in calls]
+        assert len(sizes) > 2
+        assert sizes[:-1] == [SINK_LINES] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= SINK_LINES
+
     def test_round_events_carry_virtual_time(self):
         events = []
-        reader = make_reader(event_sink=lambda line: events.append(json.loads(line)))
+        reader = make_reader(
+            event_sink=lambda lines: events.extend(map(json.loads, lines))
+        )
         reader.run_inventory((2,), 2_000.0)
         rounds = [e for e in events if e["event"] == "round"]
         assert rounds[0]["t"].startswith("2016-04-02T00:00:")
@@ -252,7 +266,7 @@ class TestExecuteAccess:
 
     def test_a_non_op_is_refused_when_its_turn_comes(self):
         events = []
-        reader = make_reader(event_sink=events.append)
+        reader = make_reader(event_sink=events.extend)
         charge_all(reader.world)
         with pytest.raises(TypeError, match="not an access op: object"):
             reader.execute_access([object()], default_epc(1), (2,), 8)
@@ -263,6 +277,25 @@ class TestExecuteAccess:
                 [ReadOp(0x4400, 1), object()], default_epc(1), (2,), 100
             )
         assert [json.loads(line)["op"] for line in events] == ["read"]
+
+    def test_one_sink_call_per_call_and_never_an_empty_one(self):
+        calls = []
+        reader = make_reader(event_sink=calls.append)
+        charge_all(reader.world)
+        reader.world.tag(1).mode = TagMode.BIOS
+        ops = [BlockWriteOp(0x4400 + 2 * i, (i,)) for i in range(40)]
+        results = reader.execute_access(ops, default_epc(1), (2,), 40)
+        assert len(calls) == 1
+        events = [json.loads(line) for line in calls[0]]
+        assert [e["attempts"] for e in events] == [r.attempts for r in results]
+        assert len(results) == 40 and all(r.success for r in results)
+        # outcomes rendered once still carry each op's own stamp
+        stamps = [e["t"] for e in events]
+        assert stamps == sorted(set(stamps))
+        reader.execute_access([], default_epc(1), (2,), 8)
+        with pytest.raises(TypeError):
+            reader.execute_access([object()], default_epc(1), (2,), 8)
+        assert len(calls) == 1
 
     def test_read_returns_flash_words(self):
         reader = make_reader()
@@ -312,7 +345,7 @@ class TestExecuteAccess:
         reader = make_reader()
         charge_all(reader.world)
         events = []
-        reader._sink = lambda line: events.append(json.loads(line))
+        reader._sink = lambda lines: events.extend(map(json.loads, lines))
         reader.execute_access([GotoBiosOp()], default_epc(5))
         assert events[-1]["antennas"] == [3]  # far corner belongs to the angled antenna
 
@@ -419,7 +452,7 @@ class TestDefaultAntenna:
     @staticmethod
     def antennas_used(reader, epc):
         events = []
-        reader._sink = lambda line: events.append(json.loads(line))
+        reader._sink = lambda lines: events.extend(map(json.loads, lines))
         reader.execute_access([GotoBiosOp()], epc, max_retries=0)
         return tuple(events[-1]["antennas"])
 
@@ -598,7 +631,7 @@ class TestExecuteAccessMatchesReference:
         )
         config = replace(default_config(), energy=energy)
         lines = []
-        fast = make_reader(seed, config, event_sink=lines.append)
+        fast = make_reader(seed, config, event_sink=lines.extend)
         reference = make_reader(seed, config)
         for world in (fast.world, reference.world):
             for tag_id, (share, bios, obeys, answers) in zip(TAG_IDS, start):
@@ -865,7 +898,7 @@ class TestRunInventoryMatchesReference:
         )
         config = replace(default_config(), energy=energy)
         lines = []
-        fast = make_reader(seed, config, event_sink=lines.append)
+        fast = make_reader(seed, config, event_sink=lines.extend)
         reference = make_reader(seed, config)
         for world in (fast.world, reference.world):
             for tag_id, (share, bios, answers) in zip(TAG_IDS, start):
@@ -908,7 +941,7 @@ class TestChargingClosedForm:
         energy = EnergyParams(harvest_efficiency=5e-6)
         config = replace(default_config(), energy=energy)
         lines = []
-        reader = make_reader(seed=9, config=config, event_sink=lines.append)
+        reader = make_reader(seed=9, config=config, event_sink=lines.extend)
         world = reader.world
         incident_dbm = world.links[(1, 6)].incident_power_dbm
         charge_ms = energy.operate_min_uj / (
@@ -979,7 +1012,7 @@ class TestReadRatesClosedForm:
             energy=replace(config.energy, idle_draw_mw=0.0),
         )
         lines = []
-        reader = make_reader(seed=17, config=config, event_sink=lines.append)
+        reader = make_reader(seed=17, config=config, event_sink=lines.extend)
         charge_all(reader.world)  # nothing drains, so every tag stays powered
         reachable = reader.world.reachable(2)
         assert len(reachable) == 6
