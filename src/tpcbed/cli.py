@@ -20,6 +20,7 @@ from .controller import (
     ControlServer,
     ExperimentLog,
     InventoryRow,
+    LogWriteError,
     TestbedController,
     check_duration_s,
     format_inventory_csv,
@@ -312,10 +313,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "connect", None) is not None:
             check_port("--connect port", args.connect[1])
         return handlers[args.command](args)
-    except (ConfigError, TiTxtError, GeometryError, OSError) as exc:
-        # A file the loaders refuse or cannot read, or an antenna or tag id
-        # the bench lacks.  Inputs load before the log opens, so a refused
-        # file leaves no log behind.
+    except (ConfigError, TiTxtError, GeometryError, LogWriteError, OSError) as exc:
+        # A file the loaders refuse or cannot read, a log that cannot be
+        # written, or an antenna or tag id the bench lacks.  Inputs load
+        # before the log opens, so a refused file leaves no log behind.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from .rfchannel import (
     TestbedGeometry,
     default_geometry,
 )
-from .tag import EnergyParams
+from .tag import EPC_LEN, EnergyParams
 from .wisent import TransferPolicy
 
 
@@ -90,8 +90,8 @@ class TagProfile:
             raw = bytes.fromhex(self.epc_hex)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad epc_hex {self.epc_hex!r}") from exc
-        if len(raw) != 12:
-            raise ConfigError("epc_hex must encode exactly 12 bytes")
+        if len(raw) != EPC_LEN:
+            raise ConfigError(f"epc_hex must encode exactly {EPC_LEN} bytes")
         return raw
 
 

@@ -65,12 +65,20 @@ def parse_antennas(text: str) -> tuple[int, ...]:
     if text in ENVIRONMENTS:
         return ENVIRONMENTS[text]
     try:
-        return tuple(int(part) for part in text.split("+"))
+        ids = tuple(int(part) for part in text.split("+"))
     except ValueError:
         raise ValueError(
             f"expected antenna ids like '2' or '2+3', or an environment "
             f"name from {sorted(ENVIRONMENTS)}; got {text!r}"
         ) from None
+    check_antenna_list(ids)
+    return ids
+
+
+def check_antenna_list(antenna_ids: tuple[int, ...]) -> None:
+    """Refuse an experiment's antenna list that is empty or names one twice."""
+    if not antenna_ids or len(set(antenna_ids)) != len(antenna_ids):
+        raise ValueError(f"antennas must be distinct, one or more: {antenna_ids}")
 
 
 class TestbedBusy(RuntimeError):
@@ -232,10 +240,11 @@ class TestbedController:
 
         Antennas run one after another on the same world, so the later
         antenna's rounds start where the earlier one's clock stopped.
-        ``duration_s`` must be finite and within [0, MAX_DURATION_S], and
-        an unknown antenna id raises GeometryError before anything runs.
+        Refused before anything runs: ``duration_s`` outside [0, MAX_DURATION_S],
+        no antenna or a repeated one, and (GeometryError) an unknown antenna id.
         """
         check_duration_s(duration_s)
+        check_antenna_list(antenna_ids)
         for antenna_id in antenna_ids:
             self.config.geometry.antenna(antenna_id)
         reader, sink = self._start(

@@ -3,8 +3,9 @@
 This is the frame-slotted anticollision loop UHF readers run: every
 responsive tag draws one slot out of 2**Q, a slot with exactly one
 decoded reply singulates that tag, and the floating-point Q estimate
-drifts up on collisions and down on silence.  AccessResult records one
-retried access operation; the retry loop itself is
+drifts up on collisions and down on silence.  The access ops live here
+too, each with what one delivered command does to a tag, and
+AccessResult records one retried op; the retry loop itself is
 ``Reader.execute_access``.
 
 Randomness comes exclusively from the ``random.Random`` instance the
@@ -16,6 +17,9 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from typing import ClassVar
+
+from .tag import ApplicationBehavior, MemoryAccessError, TagAck, TagMode, WORD_BYTES
 
 Q_MIN = 0
 Q_MAX = 15
@@ -123,6 +127,84 @@ class RoundResult:
             by_slot.get(i) or SlotOutcome(SlotKind.EMPTY, i, start + i * slot_ms)
             for i in range(self.slots)
         )
+
+
+# -- access ops: each ``apply`` is what one delivered command does to the
+# tag, its ack or None for silence.
+
+
+@dataclass(frozen=True)
+class ReadOp:
+    kind: ClassVar[str] = "read"
+    start_address: int
+    word_count: int
+
+    def apply(self, tag) -> TagAck:
+        try:
+            raw = tag.read_bytes(self.start_address, self.word_count * WORD_BYTES)
+        except MemoryAccessError:
+            return TagAck(False, "region-violation")
+        words = zip(raw[::WORD_BYTES], raw[1::WORD_BYTES])  # little-endian
+        return TagAck(True, data=tuple(low | high << 8 for low, high in words))
+
+
+@dataclass(frozen=True, slots=True)
+class BlockWriteOp:
+    """Words to write from ``start_address`` on.
+
+    Frozen because one is shared: an image builds its write ops once for
+    every transfer (``FirmwareImage.write_ops``), and one connection's
+    decoder once per distinct spec of block writes (``llrp.WriteRunMemo``).
+    ``words`` must be a tuple for the same reason.
+    """
+
+    kind: ClassVar[str] = "block-write"
+    start_address: int
+    words: tuple[int, ...]
+
+    def apply(self, tag) -> TagAck:
+        return tag.on_write_words(self.start_address, self.words)
+
+
+@dataclass(frozen=True)
+class GotoBiosOp:
+    kind: ClassVar[str] = "goto-bios"
+
+    def apply(self, tag) -> TagAck | None:
+        return tag.on_goto_bios()
+
+
+@dataclass(frozen=True)
+class ChecksumOp:
+    kind: ClassVar[str] = "checksum"
+    start_address: int
+    byte_length: int
+
+    def apply(self, tag) -> TagAck:
+        if tag.mode is not TagMode.BIOS:
+            return TagAck(False, "wrong-mode")
+        try:
+            value = tag.compute_checksum(self.start_address, self.byte_length)
+        except MemoryAccessError:
+            return TagAck(False, "region-violation")
+        return TagAck(True, data=(value,))
+
+
+@dataclass(frozen=True)
+class CommitOp:
+    """Activates a staged image: per-segment checksums plus behavior flags."""
+
+    kind: ClassVar[str] = "commit"
+    segments: tuple[tuple[int, int, int], ...]  # (start, byte_length, checksum)
+    obeys_goto_bios: bool = True
+    responds_to_inventory: bool = True
+
+    def apply(self, tag) -> TagAck | None:
+        behavior = ApplicationBehavior(self.obeys_goto_bios, self.responds_to_inventory)
+        return tag.commit_firmware(list(self.segments), behavior)
+
+
+AccessOp = ReadOp | BlockWriteOp | GotoBiosOp | ChecksumOp | CommitOp
 
 
 @dataclass(frozen=True, slots=True)

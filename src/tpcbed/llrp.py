@@ -25,9 +25,17 @@ import enum
 import functools
 import struct
 from dataclasses import astuple, dataclass, replace
-from typing import ClassVar
 
-from .gen2 import AccessResult
+from .gen2 import (
+    AccessOp,
+    AccessResult,
+    BlockWriteOp,
+    ChecksumOp,
+    CommitOp,
+    GotoBiosOp,
+    ReadOp,
+)
+from .tag import EPC_LEN
 
 PROTOCOL_VERSION = 1
 HEADER_LEN = 11
@@ -37,7 +45,6 @@ MAX_PAYLOAD = 2**32 - 12  # largest payload whose frame length fits in u32
 #: writes the whole 64 KiB address span one word per op: 229,411 bytes of
 #: ADD_ACCESSSPEC, and 720,911 bytes of RO_ACCESS_REPORT in reply.
 MAX_FRAME_LEN = 1 << 20
-EPC_LEN = 12
 
 
 class MsgType(enum.IntEnum):
@@ -81,75 +88,23 @@ class EncodeError(ValueError):
     pass
 
 
-# -- access operation payloads ------------------------------------------
+# -- access op wire codes -----------------------------------------------
 
 
-# Each op kind's wire code, as plain ints: the codec's per-op loops compare
-# them, where reading an enum member costs several times the comparison.
-_READ, _BLOCK_WRITE, _GOTO_BIOS, _CHECKSUM, _COMMIT = range(5)
-
-#: Each op kind's name by its wire code, as access results and event lines
-#: carry it.
-OP_KIND_NAMES = {
-    _READ: "read",
-    _BLOCK_WRITE: "block-write",
-    _GOTO_BIOS: "goto-bios",
-    _CHECKSUM: "checksum",
-    _COMMIT: "commit",
-}
+#: Each op type by its wire code.
+_OP_TYPES = (ReadOp, BlockWriteOp, GotoBiosOp, ChecksumOp, CommitOp)
+# The same codes as plain ints: the codec's per-op loops compare them, where
+# reading an enum member costs several times the comparison.
+_READ, _BLOCK_WRITE, _GOTO_BIOS, _CHECKSUM, _COMMIT = range(len(_OP_TYPES))
+#: Each op kind's name by its wire code, as results and event lines carry it.
+OP_KIND_NAMES = {code: op_type.kind for code, op_type in enumerate(_OP_TYPES)}
 _OP_CODES = {name: code for code, name in OP_KIND_NAMES.items()}
-
-
-@dataclass(frozen=True)
-class ReadOp:
-    kind: ClassVar[str] = OP_KIND_NAMES[_READ]
-    start_address: int
-    word_count: int
-
-
-@dataclass(frozen=True, slots=True)
-class BlockWriteOp:
-    """Words to write from ``start_address`` on.
-
-    Frozen because one is shared: an image builds its write ops once for
-    every transfer, and one connection's decoder once per distinct spec
-    of block writes (see WriteRunMemo).  ``words`` must be a tuple for
-    the same reason.
-    """
-
-    kind: ClassVar[str] = OP_KIND_NAMES[_BLOCK_WRITE]
-    start_address: int
-    words: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GotoBiosOp:
-    kind: ClassVar[str] = OP_KIND_NAMES[_GOTO_BIOS]
-
-
-@dataclass(frozen=True)
-class ChecksumOp:
-    kind: ClassVar[str] = OP_KIND_NAMES[_CHECKSUM]
-    start_address: int
-    byte_length: int
-
-
-@dataclass(frozen=True)
-class CommitOp:
-    """Activates a staged image: per-segment checksums plus behavior flags."""
-
-    kind: ClassVar[str] = OP_KIND_NAMES[_COMMIT]
-    segments: tuple[tuple[int, int, int], ...]  # (start, byte_length, checksum)
-    obeys_goto_bios: bool = True
-    responds_to_inventory: bool = True
-
-
-AccessOp = ReadOp | BlockWriteOp | GotoBiosOp | ChecksumOp | CommitOp
 
 
 class WriteRunMemo:
     """The ops, and their packed bytes, of the last spec made of block
-    writes alone that one end of a connection packed or read.
+    writes (``gen2.BlockWriteOp``) alone that one end of a connection
+    packed or read.
 
     ``encode`` reuses ``packed`` for a spec whose ops are the tuple
     ``ops`` itself, ``decode`` reuses ``ops`` for a spec of as many ops
@@ -393,20 +348,15 @@ def _pack_payload(msg: Message, out: list[bytes], memo: WriteRunMemo | None) -> 
             out.append(_TAG_REPORT.pack(*astuple(entry)))
         out.append(_U16.pack(len(msg.access_results)))
         # Each distinct result object is packed once, keyed by identity:
-        # the report holds every result until the frame is built.  Every
-        # result of one access call names the same target, so an EPC is
-        # checked and packed only when it differs from the last.
+        # the report holds every result until the frame is built.
         packed: dict[int, bytes] = {}
-        target = epc = None
         for result in msg.access_results:
             raw = packed.get(id(result))
             if raw is None:
                 code = _OP_CODES.get(result.kind)
                 if code is None:
                     raise EncodeError(f"unknown access op kind {result.kind!r}")
-                if epc is None or result.target_epc != target:
-                    target = result.target_epc
-                    epc = _pack_epc(target)
+                epc = _pack_epc(result.target_epc)
                 success = 1 if result.success else 0
                 attempts = result.attempts
                 data = result.data

@@ -27,27 +27,27 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .gen2 import AccessResult, ReachableTag, rounded_q, run_inventory_round
+from .gen2 import (
+    AccessOp,
+    AccessResult,
+    BlockWriteOp,
+    ReachableTag,
+    rounded_q,
+    run_inventory_round,
+)
 from .llrp import (
     AddAccessSpec,
     AddROSpec,
-    BlockWriteOp,
     CapabilitiesResponse,
-    ChecksumOp,
-    CommitOp,
     DecodeError,
-    EPC_LEN,
     ErrorCode,
     ErrorMessage,
     FrameStream,
     GetCapabilities,
-    GotoBiosOp,
     Keepalive,
     KeepaliveAck,
     Message,
-    OP_KIND_NAMES,  # re-exported
     ROAccessReport,
-    ReadOp,
     StartROSpec,
     StopROSpec,
     SuccessMessage,
@@ -57,13 +57,7 @@ from .llrp import (
     encode_frames,
 )
 from .rfchannel import GeometryError
-from .tag import (
-    ApplicationBehavior,
-    MemoryAccessError,
-    TagAck,
-    TagMode,
-    WORD_BYTES,
-)
+from .tag import EPC_LEN, TagMode
 from .wisent import choose_antennas
 from .world import World
 
@@ -135,7 +129,7 @@ class _Accumulator:
 # in sorted order, byte for byte what SORTED_JSON.encode gives for the
 # same dict.  Only free text (a nack's detail) goes through the encoder,
 # so its escaping stays the standard library's.  ``t`` is VirtualClock.iso()
-# text, ``op`` one of OP_KIND_NAMES and ``target`` hex: none needs escaping.
+# text, ``op`` an access op's kind and ``target`` hex: none needs escaping.
 
 
 def round_line(
@@ -371,7 +365,7 @@ class Reader:
         # before a dispatch or a harvest, the clock from ``now`` before a
         # dispatch or a log line, and both when each op ends.  The mode half
         # of ``responsive`` is read again only after a harvest or a
-        # dispatch of the two ops that change it, goto-bios and commit.
+        # dispatch of any op but a block write, which never changes it.
         tags = list(world.tags.values())
         state_ids: dict[tuple[float, ...], int] = {}
         states: list[tuple[float, ...]] = []
@@ -424,12 +418,11 @@ class Reader:
                 # Resolved once per run of ops of one type.
                 if type(op) is not op_type:
                     op_type = type(op)
-                    handler = OP_HANDLERS.get(op_type)
-                    if handler is None:
+                    if not issubclass(op_type, AccessOp):
                         raise TypeError(f"not an access op: {op_type.__name__}")
+                    apply = op_type.apply
                     kind = op.kind
                     writes = op_type is BlockWriteOp
-                    moves_mode = op_type is GotoBiosOp or op_type is CommitOp
                 success = False
                 detail = None
                 data: tuple[int, ...] = ()
@@ -453,9 +446,8 @@ class Reader:
                     if writes:
                         ack = write_words(op.start_address, op.words)
                     else:
-                        ack = handler(op, tag)
-                        if moves_mode:
-                            mode_ok = listening()
+                        ack = apply(op, tag)
+                        mode_ok = listening()
                     if ack is None:
                         continue
                     success = ack.ok
@@ -488,42 +480,6 @@ class Reader:
             if lines:
                 sink(lines)
         return results
-
-
-def _read(op: ReadOp, tag) -> TagAck:
-    try:
-        raw = tag.read_bytes(op.start_address, op.word_count * WORD_BYTES)
-    except MemoryAccessError:
-        return TagAck(False, "region-violation")
-    words = tuple(raw[i] | (raw[i + 1] << 8) for i in range(0, len(raw), WORD_BYTES))
-    return TagAck(True, data=words)
-
-
-def _checksum(op: ChecksumOp, tag) -> TagAck:
-    if tag.mode is not TagMode.BIOS:
-        return TagAck(False, "wrong-mode")
-    try:
-        value = tag.compute_checksum(op.start_address, op.byte_length)
-    except MemoryAccessError:
-        return TagAck(False, "region-violation")
-    return TagAck(True, data=(value,))
-
-
-def _commit(op: CommitOp, tag) -> TagAck | None:
-    behavior = ApplicationBehavior(op.obeys_goto_bios, op.responds_to_inventory)
-    return tag.commit_firmware(list(op.segments), behavior)
-
-
-#: What one delivered command does to the tag, by op class: the tag's
-#: ack, or None for silence.  Keyed by exact class; nothing subclasses
-#: an op type.
-OP_HANDLERS = {
-    ReadOp: _read,
-    BlockWriteOp: lambda op, tag: tag.on_write_words(op.start_address, op.words),
-    GotoBiosOp: lambda op, tag: tag.on_goto_bios(),
-    ChecksumOp: _checksum,
-    CommitOp: _commit,
-}
 
 
 # -- wire conversions -------------------------------------------------------
@@ -595,7 +551,8 @@ class TcpServer:
             self._sock.close()
         except OSError:
             pass
-        self._thread.join(timeout=5.0)
+        if self._thread.ident is not None:  # started
+            self._thread.join(timeout=5.0)
 
     def __enter__(self):
         return self.start()

@@ -22,6 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 WORD_BYTES = 2
+EPC_LEN = 12  # bytes: a 96-bit EPC
 MEMORY_SPAN = 0x10000
 FLASH_FILL_BYTE = 0xFF
 
@@ -167,8 +168,8 @@ class CrfidTag:
         memory: MemoryMap | None = None,
         behavior: ApplicationBehavior | None = None,
     ):
-        if len(epc) != 12:
-            raise ValueError("EPC must be exactly 12 bytes (96 bits)")
+        if len(epc) != EPC_LEN:
+            raise ValueError(f"EPC must be exactly {EPC_LEN} bytes (96 bits)")
         self.tag_id = tag_id
         self.epc = epc
         self.energy_params = energy or EnergyParams()

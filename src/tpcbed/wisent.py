@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .llrp import BlockWriteOp, ChecksumOp, CommitOp, GotoBiosOp
+from .gen2 import BlockWriteOp, ChecksumOp, CommitOp, GotoBiosOp
 from .rfchannel import (
     GeometryError,
     LinkBudgetParams,

@@ -239,7 +239,6 @@ def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
     each event as the dict the log line encodes.
     """
     from tpcbed.gen2 import AccessResult
-    from tpcbed.reader import OP_HANDLERS
     from tpcbed.rfchannel import GeometryError
 
     world = reader.world
@@ -264,7 +263,7 @@ def execute_access_oracle(reader, ops, target_epc, antennas, max_retries):
                 continue
             if world.rng.random() >= p * p:
                 continue
-            ack = OP_HANDLERS[type(op)](op, tag)
+            ack = op.apply(tag)
             if ack is None:
                 continue
             success, detail, data = ack.ok, ack.reason, tuple(ack.data)

@@ -31,6 +31,15 @@ def test_parser_rejects_bad_antenna_arg(capsys):
     assert "environment" in capsys.readouterr().err
 
 
+def test_a_repeated_antenna_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["inventory", "--antenna", "2+2", "--duration", "2", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "antennas must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["inventory", "reprogram"])
 def test_log_is_refused_for_remote_runs(tmp_path, capsys, command):
     args = (
@@ -217,6 +226,17 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
             {},
             "error: --connect port must be in 0..65535",
         ),
+        (
+            INVENTORY + ["--log", "NODIR"],
+            {},
+            "error: cannot open log NODIR: [Errno 2] No such file or directory: "
+            "'NODIR'",
+        ),
+        (
+            REPROGRAM + ["--log", "TMPDIR"],
+            {"app.txt": FIRMWARE},
+            "error: cannot open log TMPDIR: [Errno 21] Is a directory: 'TMPDIR'",
+        ),
     ],
     ids=[
         "config-value-type",
@@ -246,16 +266,23 @@ REPROGRAM = ["reprogram", "--tags", "1", "--firmware", "FW"]
         "serve-port-range",
         "reader-serve-port-range",
         "connect-port-range",
+        "log-missing-directory",
+        "log-is-a-directory",
     ],
 )
 def test_refused_inputs_exit_2_with_one_line(tmp_path, capsys, args, files, error):
     for name, content in files.items():
         raw = content if isinstance(content, bytes) else content.encode()
         (tmp_path / name).write_bytes(raw)
-    names = {"CFG": str(tmp_path / "cfg.yaml"), "FW": str(tmp_path / "app.txt")}
+    names = {
+        "CFG": str(tmp_path / "cfg.yaml"),
+        "FW": str(tmp_path / "app.txt"),
+        "NODIR": str(tmp_path / "nodir" / "run.jsonl"),
+        "TMPDIR": str(tmp_path),
+    }
     out, log = tmp_path / "out.csv", tmp_path / "run.jsonl"
     run_args = [] if args[0].endswith("serve") else ["--out", str(out)]
-    if run_args and "--connect" not in args:
+    if run_args and "--connect" not in args and "--log" not in args:
         run_args += ["--log", str(log)]
     rc = main([names.get(a, a) for a in args] + run_args)
     assert rc == 2

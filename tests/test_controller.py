@@ -236,6 +236,10 @@ class TestEnvironments:
         with pytest.raises(ValueError):
             parse_antennas("anechoic-chamber")
 
+    def test_a_repeated_id_is_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            parse_antennas("2+3+2")
+
 
 class TestInventoryExperiment:
     def test_rows_sorted_and_complete(self):
@@ -283,6 +287,20 @@ class TestInventoryExperiment:
                     antenna_ids, 5.0, log=log
                 )
         assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("antenna_ids", [(), (2, 2), (3, 2, 3)])
+    def test_empty_or_repeated_antennas_refused_before_anything_runs(
+        self, antenna_ids, tmp_path, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr("tpcbed.controller.World", lambda *a: built.append(a))
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            with pytest.raises(ValueError, match="antennas must be distinct"):
+                Controller(default_config()).run_inventory_experiment(
+                    antenna_ids, 2.0, log=log
+                )
+        assert path.read_bytes() == b"" and built == []
 
     def test_zero_duration_runs_no_rounds(self):
         rows = Controller(default_config()).run_inventory_experiment((2,), 0.0)
@@ -508,6 +526,20 @@ class TestControlProtocol:
             assert reply["ok"] is False and reply["error"] == "bad-request"
             assert "unknown" in reply["detail"]
             assert built == []  # no world was built, so nothing ran
+            assert client.release(token) == {"ok": True}
+
+    @pytest.mark.parametrize("antennas", [[], [2, 2], "2+2"])
+    def test_empty_or_repeated_antennas_are_bad_requests(
+        self, server, monkeypatch, antennas
+    ):
+        built = []
+        monkeypatch.setattr("tpcbed.controller.World", lambda *a: built.append(a))
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            reply = client.inventory(token, antennas, 1.0)
+            assert reply["ok"] is False and reply["error"] == "bad-request"
+            assert "distinct" in reply["detail"]
+            assert built == []
             assert client.release(token) == {"ok": True}
 
     def test_bad_requests(self, server):

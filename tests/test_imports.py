@@ -103,3 +103,84 @@ def test_a_dead_private_name_is_found(tmp_path):
         "lib.py:4: _unused",
         "lib.py:5: _Gone",
     ]
+
+
+#: Modules of the model, which import nothing from the wire codec.
+MODEL_MODULES = ("gen2", "tag", "world", "rfchannel", "wisent", "config")
+#: The model half of ``reader.py``: these top-level names and every
+#: ``check_*`` helper read nothing imported from the codec.
+READER_MODEL = ("Reader", "TagObservation", "round_line", "access_line")
+
+
+def codec_imports(tree: ast.Module) -> list[ast.stmt]:
+    """The statements of ``tree`` that import ``llrp`` or a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module in ("llrp", "tpcbed.llrp") or (
+                node.module in (None, "tpcbed") and "llrp" in names
+            ):
+                found.append(node)
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "tpcbed.llrp" for alias in node.names):
+                found.append(node)
+    return found
+
+
+def layering_breaches(path: Path, model_names=None) -> list[str]:
+    """Where the module at ``path`` imports the codec; or, given
+    ``model_names``, where those top-level definitions and the ``check_*``
+    functions read a name the module imported from it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = codec_imports(tree)
+    if model_names is None:
+        return [f"{path.name}:{node.lineno}: imports llrp" for node in imports]
+    wire = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        for alias in node.names
+    }
+    breaches = []
+    for node in tree.body:
+        name = getattr(node, "name", "")
+        if name in model_names or name.startswith("check_"):
+            breaches += [
+                f"{path.name}:{read.lineno}: {name} reads {read.id}"
+                for read in ast.walk(node)
+                if isinstance(read, ast.Name) and read.id in wire
+            ]
+    return breaches
+
+
+@pytest.mark.parametrize("module", MODEL_MODULES)
+def test_the_model_imports_nothing_from_the_codec(module):
+    path = Path(tpcbed.__file__).parent / f"{module}.py"
+    assert layering_breaches(path) == []
+
+
+def test_the_reader_model_reads_nothing_from_the_codec():
+    path = Path(tpcbed.__file__).parent / "reader.py"
+    assert layering_breaches(path, READER_MODEL) == []
+
+
+def test_a_layering_breach_is_found(tmp_path):
+    model, reader = tmp_path / "model.py", tmp_path / "reader.py"
+    model.write_text("import json\nfrom . import llrp\nfrom .llrp import encode\n")
+    assert layering_breaches(model) == [
+        "model.py:2: imports llrp",
+        "model.py:3: imports llrp",
+    ]
+    reader.write_text(
+        "from .llrp import EPC_LEN, encode\n"
+        "class Reader:\n"
+        "    size = EPC_LEN\n"
+        "def check_epc(epc):\n"
+        "    return len(epc) == EPC_LEN\n"
+        "def serve(msg):\n"
+        "    return encode(msg)\n"
+    )
+    assert layering_breaches(reader, READER_MODEL) == [
+        "reader.py:3: Reader reads EPC_LEN",
+        "reader.py:5: check_epc reads EPC_LEN",
+    ]
