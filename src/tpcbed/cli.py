@@ -23,6 +23,7 @@ from .controller import (
     LogWriteError,
     TestbedController,
     check_duration_s,
+    check_id_list,
     format_inventory_csv,
     format_reprogram_csv,
     parse_antennas,
@@ -52,7 +53,7 @@ def _parse_duration_arg(text: str) -> float:
 
 
 def _parse_tags_arg(text: str) -> tuple[int, ...]:
-    """Tag lists: '0,1,5' plus ranges '0-5', mixed freely."""
+    """Tag lists: '0,1,5' plus ranges '0-5', mixed freely, none twice."""
     ids: list[int] = []
     try:
         for part in text.split(","):
@@ -66,6 +67,10 @@ def _parse_tags_arg(text: str) -> tuple[int, ...]:
                 ids.append(int(part))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad tag list {text!r}") from None
+    try:
+        check_id_list(tuple(ids), "tags")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return tuple(ids)
 
 

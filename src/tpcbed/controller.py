@@ -71,14 +71,15 @@ def parse_antennas(text: str) -> tuple[int, ...]:
             f"expected antenna ids like '2' or '2+3', or an environment "
             f"name from {sorted(ENVIRONMENTS)}; got {text!r}"
         ) from None
-    check_antenna_list(ids)
+    check_id_list(ids, "antennas")
     return ids
 
 
-def check_antenna_list(antenna_ids: tuple[int, ...]) -> None:
-    """Refuse an experiment's antenna list that is empty or names one twice."""
-    if not antenna_ids or len(set(antenna_ids)) != len(antenna_ids):
-        raise ValueError(f"antennas must be distinct, one or more: {antenna_ids}")
+def check_id_list(ids: tuple[int, ...], what: str) -> None:
+    """Refuse an experiment's antenna or tag list that is empty or names
+    one twice."""
+    if not ids or len(set(ids)) != len(ids):
+        raise ValueError(f"{what} must be distinct, one or more: {ids}")
 
 
 class TestbedBusy(RuntimeError):
@@ -244,7 +245,7 @@ class TestbedController:
         no antenna or a repeated one, and (GeometryError) an unknown antenna id.
         """
         check_duration_s(duration_s)
-        check_antenna_list(antenna_ids)
+        check_id_list(antenna_ids, "antennas")
         for antenna_id in antenna_ids:
             self.config.geometry.antenna(antenna_id)
         reader, sink = self._start(
@@ -272,9 +273,10 @@ class TestbedController:
         Antenna choice is per tag: best link plus any within the tie
         window.  A tag with no usable link gets an abort row with zero
         frames; an image outside the writable region is refused before
-        any RF happens at all.  An unknown tag id raises GeometryError
-        before anything runs.
+        any RF happens at all.  No tag or a repeated one (ValueError), and
+        an unknown tag id (GeometryError), are refused before anything runs.
         """
+        check_id_list(tag_ids, "tags")
         for tag_id in tag_ids:
             self.config.geometry.tag(tag_id)
         policy = self.config.transfer
@@ -407,6 +409,10 @@ class ControlServer(TcpServer):
         self.config = config
         self.controller = TestbedController(config)
         self.sessions = SessionManager(config.controller.lease_timeout_s)
+        # (firmware_text, obeys_goto_bios, responds_to_inventory) and the
+        # image the last carried-out reprogram request built from them: a
+        # resent text costs no parse, and its write ops are built once.
+        self._held_image: tuple = ((None,), None)
         super().__init__(
             host if host is not None else config.controller.host,
             port if port is not None else config.controller.control_port,
@@ -498,16 +504,18 @@ class ControlServer(TcpServer):
                 }
             if cmd == "reprogram":
                 self.sessions.validate(_string(request, "token", ""))
-                image = parse_ti_txt(_string(request, "firmware_text", ""))
-                behavior = request.get("behavior", {})
-                if behavior:
-                    image = dataclasses.replace(
-                        image,
-                        **{
-                            flag: _expect(behavior.get(flag, True), _BOOLEAN, flag)
-                            for flag in ("obeys_goto_bios", "responds_to_inventory")
-                        },
-                    )
+                text = _string(request, "firmware_text", "")
+                held_key, image = self._held_image
+                if text != held_key[0]:  # a held text is known to parse
+                    image = parse_ti_txt(text)
+                behavior = _expect(request.get("behavior", {}), _OBJECT, "behavior")
+                flags = {
+                    flag: _expect(behavior.get(flag, True), _BOOLEAN, flag)
+                    for flag in ("obeys_goto_bios", "responds_to_inventory")
+                }
+                key = (text, *flags.values())
+                if key != held_key:
+                    image = dataclasses.replace(image, **flags)
                 tag_ids = tuple(
                     _expect(t, _INTEGER, "tag id") for t in request.get("tags", ())
                 )
@@ -515,6 +523,7 @@ class ControlServer(TcpServer):
                 stats = self.controller.run_reprogram_experiment(
                     tag_ids, image, seed
                 )
+                self._held_image = (key, image)
                 return {"ok": True, "rows": [transfer_row(s) for s in stats]}
             return {"ok": False, "error": "unknown-command", "detail": str(cmd)}
         except TestbedBusy as exc:
@@ -531,7 +540,6 @@ class ControlServer(TcpServer):
             ValueError,
             LookupError,  # KeyError, an unknown antenna or tag (GeometryError)
             TypeError,  # null or wrongly shaped fields: seed, tags, antennas
-            AttributeError,  # a behavior that is not an object
             OverflowError,  # an integer duration_s too large for a float
         ) as exc:
             # The caller keeps the connection and its lease either way.
@@ -545,6 +553,7 @@ _INTEGER = (int,)
 _NUMBER = (int, float)
 _BOOLEAN = (bool,)
 _STRING = (str,)
+_OBJECT = (dict,)
 
 
 def _expect(value, types: tuple[type, ...], what: str):

@@ -40,6 +40,29 @@ def test_a_repeated_antenna_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "tags, ids", [("1,1", "(1, 1)"), ("0-2,2", "(0, 1, 2, 2)")]
+)
+@pytest.mark.parametrize("remote", [False, True], ids=["local", "remote"])
+def test_a_repeated_tag_is_a_usage_error(tmp_path, capsys, tags, ids, remote):
+    fw = tmp_path / "app.txt"
+    fw.write_text(FIRMWARE)
+    out, log = tmp_path / "out.csv", tmp_path / "run.jsonl"
+    where = ["--connect", "127.0.0.1:9"] if remote else ["--log", str(log)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            ["reprogram", "--tags", tags, "--firmware", str(fw), "--out", str(out)]
+            + where
+        )
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [
+        "tpcbed reprogram: error: argument --tags: "
+        f"tags must be distinct, one or more: {ids}"
+    ]
+    assert not out.exists() and not log.exists()
+
+
 @pytest.mark.parametrize("command", ["inventory", "reprogram"])
 def test_log_is_refused_for_remote_runs(tmp_path, capsys, command):
     args = (

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import threading
 
 import pytest
@@ -22,12 +23,15 @@ from tpcbed.controller import (
     format_inventory_csv,
     format_reprogram_csv,
     parse_antennas,
+    transfer_row,
     write_inventory_csv,
 )
 from tpcbed.rfchannel import GeometryError
 from tpcbed.wisent import FirmwareImage, FirmwareSegment, TransferStats, parse_ti_txt
 
 SMALL_FIRMWARE = "@4400\n01 02 03 04 05 06 07 08\nq\n"
+OTHER_FIRMWARE = "@4400\n01 02 03 04\nq\n"
+BAD_FIRMWARE = "@4400\nzz 01\nq\n"
 
 
 class FakeClock:
@@ -364,6 +368,20 @@ class TestReprogramExperiment:
                 )
         assert path.read_bytes() == b""  # tag 1's transfer never ran
 
+    @pytest.mark.parametrize("tag_ids", [(), (6, 6), (1, 2, 1)])
+    def test_empty_or_repeated_tags_refused_before_anything_runs(
+        self, tag_ids, tmp_path, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr("tpcbed.controller.World", lambda *a: built.append(a))
+        path = tmp_path / "run.jsonl"
+        with ExperimentLog(path) as log:
+            with pytest.raises(ValueError, match="tags must be distinct"):
+                Controller(default_config()).run_reprogram_experiment(
+                    tag_ids, parse_ti_txt(SMALL_FIRMWARE), log=log
+                )
+        assert path.read_bytes() == b"" and built == []
+
     def test_a_write_failure_mid_reprogram_aborts_the_run(self, tmp_path):
         path = tmp_path / "run.jsonl"
         log = ExperimentLog(path)
@@ -541,6 +559,72 @@ class TestControlProtocol:
             assert "distinct" in reply["detail"]
             assert built == []
             assert client.release(token) == {"ok": True}
+
+    @pytest.mark.parametrize(
+        "tags", [[], [6, 6], None], ids=["empty", "repeated", "absent"]
+    )
+    def test_empty_or_repeated_tags_are_bad_requests(self, server, monkeypatch, tags):
+        built = []
+        monkeypatch.setattr("tpcbed.controller.World", lambda *a: built.append(a))
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            request = {
+                "cmd": "reprogram",
+                "token": token,
+                "firmware_text": SMALL_FIRMWARE,
+            }
+            if tags is not None:
+                request["tags"] = tags
+            assert client.call(request) == {
+                "ok": False,
+                "error": "bad-request",
+                "detail": f"tags must be distinct, one or more: {tuple(tags or ())}",
+            }
+            assert built == []
+            assert client.release(token) == {"ok": True}
+
+    @pytest.mark.parametrize(
+        "behavior", [None, False, 0, "", [], "x", ["obeys_goto_bios"]]
+    )
+    def test_a_behavior_that_is_not_an_object_is_a_bad_request(self, server, behavior):
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            reply = client.call(
+                {
+                    "cmd": "reprogram",
+                    "token": token,
+                    "tags": [1],
+                    "firmware_text": SMALL_FIRMWARE,
+                    "behavior": behavior,
+                }
+            )
+            assert reply == {
+                "ok": False,
+                "error": "bad-request",
+                "detail": f"behavior has the wrong JSON type: {behavior!r}",
+            }
+            assert client.release(token) == {"ok": True}
+
+    @pytest.mark.parametrize("behavior", [{}, None], ids=["empty", "absent"])
+    def test_an_empty_or_absent_behavior_means_the_default_flags(
+        self, server, monkeypatch, behavior
+    ):
+        images = []
+        run = server.controller.run_reprogram_experiment
+
+        def recording(tag_ids, image, seed):
+            images.append(image)
+            return run(tag_ids, image, seed)
+
+        monkeypatch.setattr(server.controller, "run_reprogram_experiment", recording)
+        request = {"cmd": "reprogram", "tags": [1], "firmware_text": SMALL_FIRMWARE}
+        if behavior is not None:
+            request["behavior"] = behavior
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            reply = client.call({**request, "token": token})
+        assert reply["ok"] and reply["rows"][0]["outcome"] == "success"
+        assert images == [parse_ti_txt(SMALL_FIRMWARE)]  # flags compare too
 
     def test_bad_requests(self, server):
         with ControlClient(server.host, server.port) as client:
@@ -813,3 +897,199 @@ class TestControlProtocol:
         with ExperimentLog(log_path) as log:
             controller.run_inventory_experiment((2,), 2.0, seed=0, log=log)
         assert session.token not in log_path.read_text()
+
+
+def _local_rows(tag_ids, image, seed):
+    """A reprogram's reply rows, run in-process on a fresh controller."""
+    stats = Controller(default_config()).run_reprogram_experiment(tag_ids, image, seed)
+    return [transfer_row(s) for s in stats]
+
+
+class TestHeldImage:
+    """The control server keeps the last image it built and reuses it for
+    a request with the same text and flags."""
+
+    TAGS = (1, 2)
+
+    @pytest.fixture()
+    def server(self):
+        with ControlServer(default_config(), port=0) as srv:
+            yield srv
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """Every text the server hands to parse_ti_txt."""
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return parse_ti_txt(text)
+
+        monkeypatch.setattr("tpcbed.controller.parse_ti_txt", counting)
+        return texts
+
+    @pytest.fixture()
+    def images(self, server, monkeypatch):
+        """Every image the server runs a reprogram with."""
+        used = []
+        run = server.controller.run_reprogram_experiment
+
+        def recording(tag_ids, image, seed):
+            used.append(image)
+            return run(tag_ids, image, seed)
+
+        monkeypatch.setattr(server.controller, "run_reprogram_experiment", recording)
+        return used
+
+    def test_a_resent_text_is_parsed_once(self, server, parses, images):
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            first = client.reprogram(token, self.TAGS, SMALL_FIRMWARE, seed=3)
+            second = client.reprogram(token, self.TAGS, SMALL_FIRMWARE, seed=3)
+        assert parses == [SMALL_FIRMWARE]
+        assert images[1] is images[0]
+        want = _local_rows(self.TAGS, parse_ti_txt(SMALL_FIRMWARE), 3)
+        assert first == second == {"ok": True, "rows": want}
+
+    def test_a_second_connection_reuses_the_image(self, server, parses, images):
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            first = client.reprogram(token, self.TAGS, SMALL_FIRMWARE, seed=4)
+        with ControlClient(server.host, server.port) as client:
+            second = client.reprogram(token, self.TAGS, SMALL_FIRMWARE, seed=4)
+        assert parses == [SMALL_FIRMWARE]
+        assert images[1] is images[0]
+        assert first["ok"] and second == first
+
+    def test_a_changed_text_or_flag_builds_a_new_image(self, server, parses, images):
+        deaf = {"obeys_goto_bios": False}
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            first = client.reprogram(token, self.TAGS, SMALL_FIRMWARE, seed=3)
+            changed = client.reprogram(token, self.TAGS, OTHER_FIRMWARE, seed=3)
+            flagged = client.reprogram(token, self.TAGS, OTHER_FIRMWARE, deaf, seed=3)
+            again = client.reprogram(token, self.TAGS, OTHER_FIRMWARE, deaf, seed=3)
+        assert parses == [SMALL_FIRMWARE, OTHER_FIRMWARE]
+        other = parse_ti_txt(OTHER_FIRMWARE)
+        other_deaf = FirmwareImage(other.segments, obeys_goto_bios=False)
+        assert images == [parse_ti_txt(SMALL_FIRMWARE), other, other_deaf, other_deaf]
+        assert images[2] is not images[1] and images[3] is images[2]
+        assert changed["rows"] != first["rows"]
+        assert changed["rows"] == _local_rows(self.TAGS, other, 3)
+        assert flagged["rows"] == again["rows"] == _local_rows(self.TAGS, other_deaf, 3)
+
+    def test_concurrent_requests_each_run_their_own_text(self, server):
+        # The held text and image are one pair: a request racing another
+        # that swaps them must still run the image of its own text.
+        texts = (SMALL_FIRMWARE, OTHER_FIRMWARE)
+        want = {text: _local_rows(self.TAGS, parse_ti_txt(text), 5) for text in texts}
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+        wrong, errors = [], []
+        start = threading.Barrier(4, timeout=60.0)
+
+        def user(first):
+            try:
+                with ControlClient(server.host, server.port) as client:
+                    start.wait()
+                    for i in range(32):
+                        text = texts[(first + i) % 2]
+                        behavior = {"obeys_goto_bios": bool(i % 3)}
+                        reply = client.reprogram(token, self.TAGS, text, behavior, 5)
+                        if reply != {"ok": True, "rows": want[text]}:
+                            wrong.append((text, reply))
+            except Exception as exc:  # reported below, not lost in the thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=user, args=(n,)) for n in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and wrong == []
+
+    def test_a_request_during_another_runs_its_own_text(self, server, monkeypatch):
+        # While the first OTHER_FIRMWARE request runs, a second one for the
+        # same text arrives on another connection: the image it finds held
+        # must be the one built for that text, or none.
+        want = _local_rows(self.TAGS, parse_ti_txt(OTHER_FIRMWARE), 5)
+        run = server.controller.run_reprogram_experiment
+        overtaken = []
+
+        def overtake(tag_ids, image, seed):
+            if image.byte_count == 4 and not overtaken:
+                overtaken.append(None)
+                with ControlClient(server.host, server.port) as other:
+                    overtaken[0] = other.reprogram(
+                        token, self.TAGS, OTHER_FIRMWARE, seed=5
+                    )
+            return run(tag_ids, image, seed)
+
+        monkeypatch.setattr(server.controller, "run_reprogram_experiment", overtake)
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            assert client.reprogram(token, self.TAGS, SMALL_FIRMWARE, seed=5)["ok"]
+            first = client.reprogram(token, self.TAGS, OTHER_FIRMWARE, seed=5)
+        assert first == overtaken[0] == {"ok": True, "rows": want}
+
+    @pytest.mark.parametrize(
+        "fields, detail",
+        [
+            ({"firmware_text": BAD_FIRMWARE}, "line 2: bad byte token 'zz'"),
+            (
+                {"firmware_text": BAD_FIRMWARE, "behavior": {"obeys_goto_bios": "x"}},
+                "line 2: bad byte token 'zz'",
+            ),
+            (
+                {"firmware_text": BAD_FIRMWARE, "behavior": "x"},
+                "line 2: bad byte token 'zz'",
+            ),
+            (
+                {"behavior": {"obeys_goto_bios": "false"}},
+                "obeys_goto_bios has the wrong JSON type: 'false'",
+            ),
+            (
+                {"behavior": {"obeys_goto_bios": False}, "tags": [1.9]},
+                "tag id has the wrong JSON type: 1.9",
+            ),
+            ({"firmware_text": OTHER_FIRMWARE, "tags": [1, 99]}, "unknown tag id 99"),
+            (
+                {"firmware_text": OTHER_FIRMWARE, "seed": 2.0},
+                "seed has the wrong JSON type: 2.0",
+            ),
+        ],
+        ids=[
+            "bad-text",
+            "bad-text-and-flag",
+            "bad-text-and-behavior",
+            "bad-flag",
+            "new-flag-bad-tag",
+            "new-text-unknown-tag",
+            "new-text-bad-seed",
+        ],
+    )
+    def test_a_refused_request_leaves_the_held_image(
+        self, server, parses, images, fields, detail
+    ):
+        with ControlClient(server.host, server.port) as client:
+            token = client.acquire("alice")["token"]
+            request = {
+                "cmd": "reprogram",
+                "token": token,
+                "tags": list(self.TAGS),
+                "firmware_text": SMALL_FIRMWARE,
+                "seed": 3,
+            }
+            first = client.call(request)
+            refused = client.call({**request, **fields})
+            again = client.call(request)
+        assert refused == {"ok": False, "error": "bad-request", "detail": detail}
+        assert first["ok"] and again == first
+        assert images[-1] is images[0]
+        assert parses.count(SMALL_FIRMWARE) == 1
